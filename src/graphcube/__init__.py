@@ -19,6 +19,7 @@ from .engine import (
     combine,
     compute_cube,
     level1_nodes,
+    locate_cuboid,
     lws_valid,
     query_cuboid,
     read_cuboid,

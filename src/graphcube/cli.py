@@ -16,11 +16,8 @@ from .core import GenParams, generate_synthetic, load_graph_with_report, write_g
 from .engine import (
     Strategy,
     compute_cube,
-    query_cuboid,
-    read_cube_meta,
+    locate_cuboid,
     write_cube,
-    _cuboid_filename,
-    _resolve_signature,
 )
 from .errors import (
     CubeFormatError,
@@ -77,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p)
     p.add_argument("--max-level", type=int, default=0, help="0 means all dimensions")
     p.add_argument("--keep-members", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--threads", type=int, default=1, help="worker-count hint")
 
     p = sub.add_parser("query", help="print one cuboid from a materialized cube")
     p.add_argument("cube_dir")
@@ -90,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p)
     p.set_defaults(policy="none")
     p.add_argument("--out", required=True, help="benchmark report CSV path")
-    p.add_argument("--threads", type=int, default=1, help="worker-count hint")
 
     return parser
 
@@ -142,8 +137,6 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 
 def cmd_cube(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ParameterError("--threads must be >= 1")
     g, idx, table = _load_pipeline(args)
     max_level = args.max_level if args.max_level else g.dim_count
     cube = compute_cube(
@@ -171,15 +164,7 @@ def cmd_cube(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     names = [n for n in args.dims.split(",") if n]
-    meta = read_cube_meta(args.cube_dir)
-    dims = meta["dims"]
-    assert isinstance(dims, tuple)
-    sig = _resolve_signature(dims, names)
-    path = Path(args.cube_dir) / _cuboid_filename(dims, sig)
-    if not path.is_file():
-        raise NotMaterializedError(
-            f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized"
-        )
+    _, path = locate_cuboid(args.cube_dir, names)
     sys.stdout.write(path.read_text(encoding="utf-8"))
     return EXIT_OK
 
@@ -187,8 +172,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ParameterError("--repeats must be >= 1")
-    if args.threads < 1:
-        raise ParameterError("--threads must be >= 1")
     g, idx, table = _load_pipeline(args)
     max_level = args.levels if args.levels else g.dim_count
     rows = []

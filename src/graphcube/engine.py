@@ -1,11 +1,12 @@
 """Cube materialization: aggregate nodes, both traversal strategies, edges, I/O.
 
 A cuboid is identified by a strictly ascending tuple of dimension indices (its
-canonical signature). Level k cells are produced by intersecting the member
-lists of same-level cells from lower cuboids; the level-by-level strategy only
-retains results one level up, while the steps-up strategy retains everything up
-to twice the producer level and skips passes whose targets are already
-complete. Both strategies must emit identical cubes.
+canonical signature). Level-1 cells come from the inverted index. Every cuboid
+of level k >= 2 is then built by exactly one join: the cells of its length-p
+prefix cuboid intersected with the cells of its length-p suffix cuboid. The
+two strategies differ only in the level p that each target is read from:
+level-by-level reads level k-1, steps-up reads level ceil(k/2), so each level L
+feeds every level up to 2L. Both strategies must emit identical cubes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "aggregate_edges",
     "query_cuboid",
     "write_cube",
+    "locate_cuboid",
     "read_cuboid",
     "read_cube_meta",
 ]
@@ -194,17 +196,6 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     )
 
 
-def _parent_pairs(sig: tuple[int, ...], level: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Unordered pairs of level-sized sub-signatures whose union is sig."""
-    subs = list(combinations(sig, level))
-    pairs = []
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if len(set(subs[i]) | set(subs[j])) == len(sig):
-                pairs.append((subs[i], subs[j]))
-    return pairs
-
-
 # Working store during a build: signature -> {value tuple -> ascending member list}.
 _Store = dict[tuple[int, ...], dict[tuple[str, ...], list[int]]]
 
@@ -223,19 +214,18 @@ def _join(
     a_sig: tuple[int, ...],
     b_sig: tuple[int, ...],
     target_sig: tuple[int, ...],
-) -> None:
+) -> dict[tuple[str, ...], list[int]]:
     """Intersect every compatible cell pair of two parent cuboids in one sweep.
 
     For each member of an A-cell, its B-cell (if any) is looked up directly, so
     all non-empty pairwise intersections fall out of a single scan. Semantics
-    match pairwise combine(); first writer wins on duplicates (all duplicates
-    are identical by construction).
+    match pairwise combine(). Returns the target cuboid's cells.
     """
     bassign = _assignment(store, b_sig, cache)
     a_pick = {d: i for i, d in enumerate(a_sig)}
     b_pick = {d: i for i, d in enumerate(b_sig)}
     sel = [(0, a_pick[d]) if d in a_pick else (1, b_pick[d]) for d in target_sig]
-    target = store[target_sig]
+    target: dict[tuple[str, ...], list[int]] = {}
     for avals, amembers in store[a_sig].items():
         groups: dict[tuple[str, ...], list[int]] = {}
         for v in amembers:
@@ -243,9 +233,8 @@ def _join(
             if bvals is not None:
                 groups.setdefault(bvals, []).append(v)
         for bvals, members in groups.items():
-            key = tuple((avals if side == 0 else bvals)[i] for side, i in sel)
-            if key not in target:
-                target[key] = members
+            target[tuple((avals if side == 0 else bvals)[i] for side, i in sel)] = members
+    return target
 
 
 def compute_cube(
@@ -275,32 +264,21 @@ def compute_cube(
     )
 
     t0 = time.perf_counter()
-    store: _Store = {}
-    for k in range(1, max_level + 1):
-        for sig in combinations(range(n), k):
-            store[sig] = {}
+    # A fully pruned dimension still emits its (empty) level-1 cuboid.
+    store: _Store = {(d,): {} for d in range(n)}
     for node in level1_nodes(idx, table):
         store[node.dims][node.values] = list(node.members)
     meta.timings.append((1, (time.perf_counter() - t0) * 1000.0))
 
     cache: dict = {}
-    complete = {1}
-    for producer in range(1, max_level):
-        if strategy is Strategy.LEVEL_BY_LEVEL:
-            hi = producer + 1
-        else:
-            hi = min(2 * producer, max_level)
-        targets = [k for k in range(producer + 1, hi + 1) if k not in complete]
-        if not targets:
-            continue
+    for k in range(2, max_level + 1):
+        # Prefix and suffix of length p cover every level-k signature: 2p >= k.
+        p = k - 1 if strategy is Strategy.LEVEL_BY_LEVEL else (k + 1) // 2
         t0 = time.perf_counter()
-        for k in targets:
-            for sig in combinations(range(n), k):
-                for a_sig, b_sig in _parent_pairs(sig, producer):
-                    meta.combines_attempted += 1
-                    _join(store, cache, a_sig, b_sig, sig)
-            complete.add(k)
-        meta.timings.append((producer, (time.perf_counter() - t0) * 1000.0))
+        for sig in combinations(range(n), k):
+            meta.combines_attempted += 1
+            store[sig] = _join(store, cache, sig[:p], sig[k - p:], sig)
+        meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
 
     cuboids: dict[tuple[int, ...], AggregateNetwork] = {}
     for sig in sorted(store, key=lambda s: (len(s), s)):
@@ -402,16 +380,17 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
     return out
 
 
-def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
-    """Read one cuboid back from a cube directory.
+def locate_cuboid(
+    directory: str | Path, signature: Sequence[str] | Sequence[int]
+) -> tuple[tuple[int, ...], Path]:
+    """Resolve a cuboid of a cube directory to its canonical signature and file.
 
-    ``signature`` may be dimension names or indices; it is canonicalized before
-    the file lookup. Member lists are empty when the cube was written without
-    the members sidecar.
+    ``signature`` may be dimension names or indices, in any order. Raises
+    QueryError for an unknown, duplicate or out-of-range dimension and
+    NotMaterializedError when the cube has no file for the cuboid.
     """
     directory = Path(directory)
-    meta = read_cube_meta(directory)
-    dims = meta["dims"]
+    dims = read_cube_meta(directory)["dims"]
     assert isinstance(dims, tuple)
     if signature and isinstance(next(iter(signature)), str):
         sig = _resolve_signature(dims, signature)  # type: ignore[arg-type]
@@ -426,7 +405,16 @@ def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int])
         raise NotMaterializedError(
             f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized"
         )
+    return sig, path
 
+
+def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
+    """Read one cuboid back from a cube directory.
+
+    ``signature`` is resolved by locate_cuboid(). Member lists are empty when
+    the cube was written without the members sidecar.
+    """
+    sig, path = locate_cuboid(directory, signature)
     cells: dict[tuple[str, ...], tuple[int, ...]] = {}
     counts: dict[tuple[str, ...], int] = {}
     self_edges: dict[tuple[str, ...], int] = {}

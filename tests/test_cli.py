@@ -81,12 +81,23 @@ class TestCube:
     def test_max_level_out_of_range(self, tmp_path, g0_files, capsys):
         assert run("cube", *g0_files, tmp_path / "c", "--max-level", 9) == 1
 
-    def test_threads_hint_does_not_change_output(self, tmp_path, g0_files):
-        for threads, name in ((1, "a"), (4, "b")):
-            assert run("cube", *g0_files, tmp_path / name, "--threads", threads) == 0
-        for f in sorted((tmp_path / "a").iterdir()):
-            if f.name != "meta":
-                assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+    @pytest.mark.parametrize("strat", ["level", "steps"])
+    def test_meta_has_one_timing_line_per_level(self, tmp_path, strat, capsys):
+        gdir = tmp_path / "g"
+        assert run(
+            "gen", "--vertices", 40, "--edges", 80, "--dims", 4,
+            "--card", 2, "--seed", 5, "--out", gdir,
+        ) == 0
+        out = tmp_path / "c"
+        assert run(
+            "cube", gdir / "vertices.csv", gdir / "edges.csv", out, "--strategy", strat,
+            "--policy", "none",
+        ) == 0
+        meta = (out / "meta").read_text().splitlines()
+        levels = [line.split(",")[1] for line in meta if line.startswith("level,")]
+        assert levels == ["1", "2", "3", "4"]
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed[-5:-1] == ["level 1", "level 2", "level 3", "level 4"]
 
 
 class TestQuery:
