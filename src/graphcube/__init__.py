@@ -16,7 +16,6 @@ from .engine import (
     GraphCube,
     Strategy,
     aggregate_edges,
-    combine,
     compute_cube,
     level1_nodes,
     locate_cuboid,
@@ -47,6 +46,6 @@ from .measures import (
     significance_table,
     vertex_score,
 )
-from .oracle import CubeDiff, compare, oracle_cube, oracle_cuboid
+from .oracle import CubeDiff, combine, compare, oracle_cube, oracle_cuboid
 
 __version__ = "0.1.0"

@@ -41,6 +41,9 @@ class MultidimGraph:
     vertices: dict[int, tuple[str, ...]]
     edges: frozenset[tuple[int, int]]
     _adj: dict[int, frozenset[int]] = field(init=False, repr=False)
+    _forward: tuple[dict[int, int], list[tuple[int, ...]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._validate()
@@ -85,6 +88,20 @@ class MultidimGraph:
             return self._adj[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
+
+    def forward_adjacency(self) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+        """Vertex positions and, per position, the positions of higher-id neighbors.
+
+        Positions number the vertices 0..|V|-1 in ascending id order, so each
+        edge appears exactly once, under its lower endpoint. Built on the first
+        call and kept; it takes no part in equality.
+        """
+        if self._forward is None:
+            order = sorted(self.vertices)
+            pos = {v: i for i, v in enumerate(order)}
+            fwd = [tuple(pos[w] for w in self._adj[v] if w > v) for v in order]
+            self._forward = (pos, fwd)
+        return self._forward
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

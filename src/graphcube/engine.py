@@ -12,9 +12,10 @@ feeds every level up to 2L. Both strategies must emit identical cubes.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +36,6 @@ __all__ = [
     "GraphCube",
     "lws_valid",
     "level1_nodes",
-    "combine",
     "compute_cube",
     "aggregate_edges",
     "query_cuboid",
@@ -90,43 +90,6 @@ def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[Aggregate
     return nodes
 
 
-def combine(a: AggregateNode, b: AggregateNode) -> AggregateNode | None:
-    """Merge two cells: union of signatures, intersection of members.
-
-    Returns None when the signatures coincide, a shared dimension carries
-    conflicting values, the intersection is empty, or the merged signature is
-    not canonical.
-    """
-    if a.dims == b.dims:
-        return None
-    aval = dict(zip(a.dims, a.values))
-    bval = dict(zip(b.dims, b.values))
-    for d in aval.keys() & bval.keys():
-        if aval[d] != bval[d]:
-            return None
-    merged_dims = tuple(sorted(aval.keys() | bval.keys()))
-    if not lws_valid(merged_dims):
-        return None
-    values = tuple(aval.get(d, bval.get(d)) for d in merged_dims)
-
-    # intersection of two ascending id lists by linear merge
-    members = []
-    i = j = 0
-    am, bm = a.members, b.members
-    while i < len(am) and j < len(bm):
-        if am[i] == bm[j]:
-            members.append(am[i])
-            i += 1
-            j += 1
-        elif am[i] < bm[j]:
-            i += 1
-        else:
-            j += 1
-    if not members:
-        return None
-    return AggregateNode(dims=merged_dims, values=values, members=tuple(members))
-
-
 @dataclass
 class AggregateNetwork:
     """Summary graph for one cuboid: nodes plus self/cross edge weights."""
@@ -171,23 +134,38 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
 
     Each undirected edge counts once; edges with an endpoint outside all cells
     (pruned away) contribute nothing. Zero-weight entries are omitted.
+
+    Only the forward edges (u, w), u < w, of member vertices u are scanned:
+    cells are numbered, each vertex position holds its cell number (-1 for
+    none), and the (cell of u, cell of w) pairs are counted in one C-level
+    pass before being decoded into value tuples.
     """
-    assign: dict[int, tuple[str, ...]] = {}
-    for node in net.nodes:
+    pos, fwd = g.forward_adjacency()
+    cell = [-1] * len(fwd)
+    for c, node in enumerate(net.nodes):
         for v in node.members:
-            assign[v] = node.values
+            cell[pos[v]] = c
+    us = [p for p, c in enumerate(cell) if c >= 0]
+    u_fwd = list(map(fwd.__getitem__, us))
+    pairs = Counter(
+        zip(
+            chain.from_iterable(map(repeat, map(cell.__getitem__, us), map(len, u_fwd))),
+            map(cell.__getitem__, chain.from_iterable(u_fwd)),
+        )
+    )
+    values = [node.values for node in net.nodes]
+    labels = [node.label for node in net.nodes]
     self_edges: dict[tuple[str, ...], int] = {}
     cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    for u, w in g.edges:
-        cu = assign.get(u)
-        cw = assign.get(w)
-        if cu is None or cw is None:
+    for (cu, cw), n in pairs.items():
+        if cw < 0:
             continue
         if cu == cw:
-            self_edges[cu] = self_edges.get(cu, 0) + 1
+            self_edges[values[cu]] = n
         else:
-            key = (cu, cw) if _label(cu) < _label(cw) else (cw, cu)
-            cross_edges[key] = cross_edges.get(key, 0) + 1
+            # Orientation as for a single edge (u, w), u < w: equal labels keep (w, u).
+            key = (values[cu], values[cw]) if labels[cu] < labels[cw] else (values[cw], values[cu])
+            cross_edges[key] = cross_edges.get(key, 0) + n
     return AggregateNetwork(
         signature=net.signature,
         nodes=net.nodes,
@@ -219,7 +197,7 @@ def _join(
 
     For each member of an A-cell, its B-cell (if any) is looked up directly, so
     all non-empty pairwise intersections fall out of a single scan. Semantics
-    match pairwise combine(). Returns the target cuboid's cells.
+    match the pairwise oracle.combine(). Returns the target cuboid's cells.
     """
     bassign = _assignment(store, b_sig, cache)
     a_pick = {d: i for i, d in enumerate(a_sig)}

@@ -67,24 +67,30 @@ class PrunePolicy:
             raise ParameterError("min_support must be >= 1")
 
 
-def clustering_coefficient(g: MultidimGraph, v: int) -> float:
-    """Fraction of neighbor pairs of v that are adjacent; 0 when deg(v) < 2."""
+def _cc_and_density(g: MultidimGraph, v: int) -> tuple[float, float]:
+    """Clustering coefficient and closed-neighborhood density from one count.
+
+    The links inside the closed neighborhood are the links among the
+    neighbors plus v's own d edges, so one count of the former gives both.
+    """
     nbrs = g.neighbors(v)
     d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = sum(1 for u in nbrs for w in g.neighbors(u) if w in nbrs and w > u)
-    return links / (d * (d - 1) / 2)
+    if d == 0:
+        return 0.0, 0.0
+    # Each link among the neighbors is seen once from each of its ends.
+    links = sum(len(g.neighbors(u) & nbrs) for u in nbrs) // 2
+    cc = links / (d * (d - 1) / 2) if d >= 2 else 0.0
+    return cc, (links + d) / ((d + 1) * d / 2)
+
+
+def clustering_coefficient(g: MultidimGraph, v: int) -> float:
+    """Fraction of neighbor pairs of v that are adjacent; 0 when deg(v) < 2."""
+    return _cc_and_density(g, v)[0]
 
 
 def local_density(g: MultidimGraph, v: int) -> float:
     """Edge density of the induced subgraph on the closed neighborhood of v."""
-    closed = set(g.neighbors(v)) | {v}
-    k = len(closed)
-    if k < 2:
-        return 0.0
-    links = sum(1 for u in closed for w in g.neighbors(u) if w in closed and w > u)
-    return links / (k * (k - 1) / 2)
+    return _cc_and_density(g, v)[1]
 
 
 def attribute_diversity(g: MultidimGraph, v: int) -> float:
@@ -101,8 +107,7 @@ def attribute_diversity(g: MultidimGraph, v: int) -> float:
 
 def vertex_score(g: MultidimGraph, v: int) -> VertexScore:
     alpha = attribute_diversity(g, v)
-    cc = clustering_coefficient(g, v)
-    density = local_density(g, v)
+    cc, density = _cc_and_density(g, v)
     return VertexScore(alpha=alpha, cc=cc, density=density, score=alpha * cc + density)
 
 

@@ -1,9 +1,10 @@
 """Brute-force reference computations used to validate the engine.
 
 Everything here works directly off the vertex table and edge list: cuboids are
-computed by a plain group-by, and significance scores are re-derived in exact
-rational arithmetic. The inverted index and the engine's combine machinery are
-deliberately never used, so agreement between the two paths is meaningful.
+computed by a plain group-by with a per-edge loop, and significance scores are
+re-derived in exact rational arithmetic. The inverted index, the engine's join
+and its edge kernel are deliberately never used, so agreement between the two
+paths is meaningful. combine() is the pairwise reference for the engine's join.
 """
 
 from __future__ import annotations
@@ -19,19 +20,56 @@ from .engine import (
     AggregateNode,
     CubeMeta,
     GraphCube,
-    aggregate_edges,
     lws_valid,
 )
 from .errors import ParameterError, VerificationError
 
 __all__ = [
     "CubeDiff",
+    "combine",
     "oracle_cuboid",
     "oracle_cube",
     "compare",
     "rational_vertex_score",
     "rational_significance",
 ]
+
+
+def combine(a: AggregateNode, b: AggregateNode) -> AggregateNode | None:
+    """Merge two cells: union of signatures, intersection of members.
+
+    Returns None when the signatures coincide, a shared dimension carries
+    conflicting values, the intersection is empty, or the merged signature is
+    not canonical.
+    """
+    if a.dims == b.dims:
+        return None
+    aval = dict(zip(a.dims, a.values))
+    bval = dict(zip(b.dims, b.values))
+    for d in aval.keys() & bval.keys():
+        if aval[d] != bval[d]:
+            return None
+    merged_dims = tuple(sorted(aval.keys() | bval.keys()))
+    if not lws_valid(merged_dims):
+        return None
+    values = tuple(aval.get(d, bval.get(d)) for d in merged_dims)
+
+    # intersection of two ascending id lists by linear merge
+    members = []
+    i = j = 0
+    am, bm = a.members, b.members
+    while i < len(am) and j < len(bm):
+        if am[i] == bm[j]:
+            members.append(am[i])
+            i += 1
+            j += 1
+        elif am[i] < bm[j]:
+            i += 1
+        else:
+            j += 1
+    if not members:
+        return None
+    return AggregateNode(dims=merged_dims, values=values, members=tuple(members))
 
 
 def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
@@ -48,7 +86,19 @@ def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
         for values, members in groups.items()
     ]
     nodes.sort(key=lambda nd: nd.label)
-    return aggregate_edges(g, AggregateNetwork(signature=sig, nodes=nodes))
+    assign = {v: nd.values for nd in nodes for v in nd.members}
+    self_edges: dict[tuple[str, ...], int] = {}
+    cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
+    for u, w in g.edges:
+        cu, cw = assign[u], assign[w]
+        if cu == cw:
+            self_edges[cu] = self_edges.get(cu, 0) + 1
+        else:
+            key = (cu, cw) if "|".join(cu) < "|".join(cw) else (cw, cu)
+            cross_edges[key] = cross_edges.get(key, 0) + 1
+    return AggregateNetwork(
+        signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges
+    )
 
 
 def oracle_cube(g: MultidimGraph, max_level: int | None = None) -> GraphCube:
@@ -149,7 +199,12 @@ def _adjacency(g: MultidimGraph) -> dict[int, set[int]]:
 
 def rational_vertex_score(g: MultidimGraph, v: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(diversity, clustering, density, total) as exact fractions."""
-    adj = _adjacency(g)
+    return _rational_vertex_score(g, _adjacency(g), v)
+
+
+def _rational_vertex_score(
+    g: MultidimGraph, adj: dict[int, set[int]], v: int
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     nbrs = adj[v]
     d = len(nbrs)
     if d == 0:
@@ -175,9 +230,10 @@ def rational_vertex_score(g: MultidimGraph, v: int) -> tuple[Fraction, Fraction,
 
 def rational_significance(g: MultidimGraph) -> dict[tuple[int, str], Fraction]:
     """Exact per-(dimension, value) score sums straight off the vertex table."""
+    adj = _adjacency(g)
     totals: dict[tuple[int, str], Fraction] = {}
     for vid in sorted(g.vertices):
-        score = rational_vertex_score(g, vid)[3]
+        score = _rational_vertex_score(g, adj, vid)[3]
         for d, value in enumerate(g.vertices[vid]):
             key = (d, value)
             totals[key] = totals.get(key, Fraction(0)) + score

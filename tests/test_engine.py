@@ -3,16 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcube import (
+    AggregateNetwork,
     AggregateNode,
     GenParams,
+    MultidimGraph,
     NotMaterializedError,
     ParameterError,
     PrunePolicy,
     QueryError,
     Strategy,
+    aggregate_edges,
     apply_policy,
     build_inverted_index,
-    combine,
     compare,
     compute_cube,
     generate_synthetic,
@@ -25,6 +27,7 @@ from graphcube import (
     write_cube,
 )
 from graphcube.engine import CubeFormatError, read_cube_meta
+from graphcube.oracle import combine
 
 
 def build_cube(g, policy="none", strategy=Strategy.LEVEL_BY_LEVEL, max_level=None, **kw):
@@ -320,3 +323,49 @@ def test_strategy_and_oracle_equivalence_property(seed, dims, card):
     assert compare(lbl, oracle_cube(g)).empty()
     for net in lbl.cuboids.values():
         assert net.total_edge_weight() == len(g.edges)
+
+
+def edge_loop(g, nodes):
+    """Reference classification: one pass over g.edges, endpoints outside all cells skipped."""
+    assign = {v: nd.values for nd in nodes for v in nd.members}
+    self_edges, cross_edges = {}, {}
+    for u, w in g.edges:
+        if u not in assign or w not in assign:
+            continue
+        cu, cw = assign[u], assign[w]
+        if cu == cw:
+            self_edges[cu] = self_edges.get(cu, 0) + 1
+        else:
+            key = (cu, cw) if "|".join(cu) < "|".join(cw) else (cw, cu)
+            cross_edges[key] = cross_edges.get(key, 0) + 1
+    return self_edges, cross_edges
+
+
+@st.composite
+def pruned_cuboids(draw):
+    """A graph on sparse large ids, inserted unsorted, plus the cells of cuboid
+    (0, 1) over a subset of its vertices, in arbitrary order. Values containing
+    '|' make distinct cells share a label, e.g. ('a|b', 'a') and ('a', 'b|a')."""
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=25, unique=True))
+    value = st.sampled_from(["a", "b", "a|b", "b|a"])
+    vertices = {v: (draw(value), draw(value)) for v in ids}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=80))
+    edges = frozenset((min(u, w), max(u, w)) for u, w in pairs if u != w)
+    g = MultidimGraph(dims=("x", "y"), vertices=vertices, edges=edges)
+    kept = [v for v in ids if draw(st.booleans())]
+    cells = {}
+    for v in sorted(kept):
+        cells.setdefault(vertices[v], []).append(v)
+    nodes = [AggregateNode(dims=(0, 1), values=vals, members=tuple(m)) for vals, m in cells.items()]
+    return g, draw(st.permutations(nodes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pruned_cuboids())
+def test_aggregate_edges_matches_edge_loop_property(case):
+    g, nodes = case
+    g2 = MultidimGraph(dims=g.dims, vertices=dict(g.vertices), edges=g.edges)
+    net = aggregate_edges(g, AggregateNetwork(signature=(0, 1), nodes=nodes))
+    assert (net.self_edges, net.cross_edges) == edge_loop(g, nodes)
+    assert net.nodes == nodes
+    assert g == g2  # the forward adjacency built by aggregate_edges takes no part in equality

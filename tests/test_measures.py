@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphcube import (
+    GenParams,
     MultidimGraph,
     PrunePolicy,
     apply_policy,
@@ -10,6 +11,7 @@ from graphcube import (
     build_inverted_index,
     clustering_coefficient,
     degree_baseline,
+    generate_synthetic,
     local_density,
     significance_table,
     vertex_score,
@@ -85,6 +87,18 @@ class TestVertexScore:
             assert s.cc == pytest.approx(float(cc), abs=EPS)
             assert s.density == pytest.approx(float(density), abs=EPS)
             assert s.score == pytest.approx(float(score), abs=EPS)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cc_and_density_correctly_rounded(self, seed):
+        # Both sides are one correctly rounded quotient of the same two integers,
+        # so they agree bit for bit; a change in the float path shows as inequality.
+        g = generate_synthetic(GenParams(vertex_count=80, edge_count=400, dim_count=2,
+                                         cardinality=3, seed=seed, hub_fraction=0.1))
+        for v in g.vertices:
+            _, cc, density, _ = rational_vertex_score(g, v)
+            s = vertex_score(g, v)
+            assert s.cc == clustering_coefficient(g, v) == float(cc)
+            assert s.density == local_density(g, v) == float(density)
 
 
 class TestSignificanceTable:
