@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(STRATEGIES), default="level")
     _add_policy_flags(p)
     p.add_argument("--max-level", type=int, default=0, help="0 means all dimensions")
-    p.add_argument("--keep-members", action=argparse.BooleanOptionalAction, default=None)
 
     p = sub.add_parser("query", help="print one cuboid from a materialized cube")
     p.add_argument("cube_dir")
@@ -139,14 +138,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 def cmd_cube(args: argparse.Namespace) -> int:
     g, idx, table = _load_pipeline(args)
     max_level = args.max_level if args.max_level else g.dim_count
-    cube = compute_cube(
-        g,
-        idx,
-        table,
-        strategy=STRATEGIES[args.strategy],
-        max_level=max_level,
-        keep_members=args.keep_members,
-    )
+    cube = compute_cube(g, idx, table, strategy=STRATEGIES[args.strategy], max_level=max_level)
     write_cube(cube, args.out_dir)
     by_level: dict[int, int] = {}
     for sig, net in cube.cuboids.items():

@@ -76,12 +76,6 @@ class MultidimGraph:
     def dim_count(self) -> int:
         return len(self.dims)
 
-    def dim_index(self, name: str) -> int:
-        try:
-            return self.dims.index(name)
-        except ValueError:
-            raise UnknownVertexError(f"unknown dimension {name!r}") from None
-
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); never contains v itself."""
         try:
@@ -133,12 +127,6 @@ class InvertedIndex:
     """Per (dimension index, value): strictly ascending list of vertex ids."""
 
     entries: dict[tuple[int, str], list[int]]
-
-    def members(self, dim: int, value: str) -> list[int]:
-        return self.entries.get((dim, value), [])
-
-    def values_of(self, dim: int) -> list[str]:
-        return sorted(v for d, v in self.entries if d == dim)
 
 
 @dataclass

@@ -117,7 +117,6 @@ class CubeMeta:
     strategy: str
     max_level: int
     dims: tuple[str, ...]
-    keep_members: bool = True
     timings: list[tuple[int, float]] = field(default_factory=list)
     combines_attempted: int = 0
     nodes_emitted: int = 0
@@ -174,44 +173,34 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     )
 
 
-# Working store during a build: signature -> {value tuple -> ascending member list}.
-_Store = dict[tuple[int, ...], dict[tuple[str, ...], list[int]]]
-
-
-def _assignment(store: _Store, sig: tuple[int, ...], cache: dict) -> dict[int, tuple[str, ...]]:
-    m = cache.get(sig)
-    if m is None:
-        m = {v: vals for vals, members in store[sig].items() for v in members}
-        cache[sig] = m
-    return m
-
-
 def _join(
-    store: _Store,
-    cache: dict,
+    a_nodes: list[AggregateNode],
+    b_cells: dict[int, tuple[str, ...]],
     a_sig: tuple[int, ...],
     b_sig: tuple[int, ...],
     target_sig: tuple[int, ...],
-) -> dict[tuple[str, ...], list[int]]:
+) -> list[AggregateNode]:
     """Intersect every compatible cell pair of two parent cuboids in one sweep.
 
-    For each member of an A-cell, its B-cell (if any) is looked up directly, so
-    all non-empty pairwise intersections fall out of a single scan. Semantics
-    match the pairwise oracle.combine(). Returns the target cuboid's cells.
+    For each member of an A-cell, its B-cell values (if any) are looked up in
+    ``b_cells`` ({vertex: values} of the B cuboid), so all non-empty pairwise
+    intersections fall out of a single scan. Semantics match the pairwise
+    oracle.combine(). Returns the target cuboid's nodes in label order.
     """
-    bassign = _assignment(store, b_sig, cache)
     a_pick = {d: i for i, d in enumerate(a_sig)}
     b_pick = {d: i for i, d in enumerate(b_sig)}
     sel = [(0, a_pick[d]) if d in a_pick else (1, b_pick[d]) for d in target_sig]
-    target: dict[tuple[str, ...], list[int]] = {}
-    for avals, amembers in store[a_sig].items():
+    target: list[AggregateNode] = []
+    for a in a_nodes:
         groups: dict[tuple[str, ...], list[int]] = {}
-        for v in amembers:
-            bvals = bassign.get(v)
+        for v in a.members:
+            bvals = b_cells.get(v)
             if bvals is not None:
                 groups.setdefault(bvals, []).append(v)
         for bvals, members in groups.items():
-            target[tuple((avals if side == 0 else bvals)[i] for side, i in sel)] = members
+            values = tuple((a.values if side == 0 else bvals)[i] for side, i in sel)
+            target.append(AggregateNode(dims=target_sig, values=values, members=tuple(members)))
+    target.sort(key=lambda nd: nd.label)
     return target
 
 
@@ -221,7 +210,6 @@ def compute_cube(
     table: SignificanceTable,
     strategy: Strategy = Strategy.LEVEL_BY_LEVEL,
     max_level: int | None = None,
-    keep_members: bool | None = None,
 ) -> GraphCube:
     """Materialize every canonical cuboid of size <= max_level."""
     n = g.dim_count
@@ -229,8 +217,6 @@ def compute_cube(
         max_level = n
     if not 1 <= max_level <= n:
         raise ParameterError(f"max_level must be in [1, {n}], got {max_level}")
-    if keep_members is None:
-        keep_members = len(g.vertices) < 10**6
 
     meta = CubeMeta(
         fingerprint=g.fingerprint(),
@@ -238,40 +224,33 @@ def compute_cube(
         strategy=strategy.value,
         max_level=max_level,
         dims=g.dims,
-        keep_members=keep_members,
     )
 
     t0 = time.perf_counter()
-    # A fully pruned dimension still emits its (empty) level-1 cuboid.
-    store: _Store = {(d,): {} for d in range(n)}
+    # signature -> its nodes in label order, levels ascending. A fully pruned
+    # dimension still emits its (empty) level-1 cuboid.
+    store: dict[tuple[int, ...], list[AggregateNode]] = {(d,): [] for d in range(n)}
     for node in level1_nodes(idx, table):
-        store[node.dims][node.values] = list(node.members)
+        store[node.dims].append(node)
     meta.timings.append((1, (time.perf_counter() - t0) * 1000.0))
 
-    cache: dict = {}
+    cells: dict[tuple[int, ...], dict[int, tuple[str, ...]]] = {}  # B side: {vertex: values}
     for k in range(2, max_level + 1):
         # Prefix and suffix of length p cover every level-k signature: 2p >= k.
         p = k - 1 if strategy is Strategy.LEVEL_BY_LEVEL else (k + 1) // 2
         t0 = time.perf_counter()
         for sig in combinations(range(n), k):
             meta.combines_attempted += 1
-            store[sig] = _join(store, cache, sig[:p], sig[k - p:], sig)
+            b_sig = sig[k - p:]
+            if b_sig not in cells:
+                cells[b_sig] = {v: nd.values for nd in store[b_sig] for v in nd.members}
+            store[sig] = _join(store[sig[:p]], cells[b_sig], sig[:p], b_sig, sig)
         meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
 
     cuboids: dict[tuple[int, ...], AggregateNetwork] = {}
-    for sig in sorted(store, key=lambda s: (len(s), s)):
-        nodes = [
-            AggregateNode(dims=sig, values=vals, members=tuple(members))
-            for vals, members in store[sig].items()
-        ]
-        nodes.sort(key=lambda nd: nd.label)
+    for sig, nodes in store.items():
         meta.nodes_emitted += len(nodes)
-        net = aggregate_edges(g, AggregateNetwork(signature=sig, nodes=nodes))
-        if not keep_members:
-            net.nodes = [
-                AggregateNode(dims=nd.dims, values=nd.values, members=()) for nd in net.nodes
-            ]
-        cuboids[sig] = net
+        cuboids[sig] = aggregate_edges(g, AggregateNetwork(signature=sig, nodes=nodes))
     return GraphCube(cuboids=cuboids, meta=meta)
 
 
@@ -310,32 +289,67 @@ def _cuboid_filename(dims: tuple[str, ...], sig: tuple[int, ...]) -> str:
     return "_".join(dims[d] for d in sig) + CUBOID_EXT
 
 
-def _render_cuboid(net: AggregateNetwork, keep_members: bool) -> str:
-    n_lines = sorted(f"N\t{nd.label}\t{len(nd.members)}" for nd in net.nodes)
-    s_lines = sorted(f"S\t{_label(k)}\t{w}" for k, w in net.self_edges.items())
-    e_lines = sorted(f"E\t{_label(a)}\t{_label(b)}\t{w}" for (a, b), w in net.cross_edges.items())
-    sections = n_lines + s_lines + e_lines
-    if keep_members:
-        sections += sorted(
-            f"M\t{nd.label}\t{','.join(str(v) for v in nd.members)}" for nd in net.nodes
-        )
+def _render_cuboid(net: AggregateNetwork) -> str:
+    """N, S, E and M sections, each sorted; every cell's label is joined once."""
+    labels: dict[tuple[str, ...], str] = {}
+    n_lines, m_lines = [], []
+    for nd in net.nodes:
+        label = labels[nd.values] = nd.label
+        n_lines.append(f"N\t{label}\t{len(nd.members)}")
+        m_lines.append(f"M\t{label}\t{','.join(map(str, nd.members))}")
+    s_lines = [f"S\t{labels[k]}\t{w}" for k, w in net.self_edges.items()]
+    e_lines = [f"E\t{labels[a]}\t{labels[b]}\t{w}" for (a, b), w in net.cross_edges.items()]
+    sections = sorted(n_lines) + sorted(s_lines) + sorted(e_lines) + sorted(m_lines)
     return "\n".join(sections) + ("\n" if sections else "")
 
 
+def _check_readable(cube: GraphCube) -> None:
+    """Raise CubeFormatError if the cube would not read back as it was written.
+
+    File names join dimension names with '_' and labels join values with '|',
+    so two cuboids may share a file and a value may split apart on reading;
+    a tab or a line break in a value breaks its record. Every value of every
+    cell appears in a level-1 cell, so checking level 1 covers the cube.
+    """
+    dims = cube.meta.dims
+    files: dict[str, tuple[int, ...]] = {}
+    for sig, net in cube.cuboids.items():
+        name = _cuboid_filename(dims, sig)
+        if "/" in name or "\0" in name:
+            raise CubeFormatError(f"cuboid file name {name!r} is not a plain file name")
+        if name in files:
+            raise CubeFormatError(
+                f"cuboids {[dims[d] for d in files[name]]} and {[dims[d] for d in sig]} "
+                f"would both be written to {name}"
+            )
+        files[name] = sig
+        if len(sig) == 1:
+            for nd in net.nodes:
+                value = nd.values[0]
+                # A line break is anything str.splitlines() splits on.
+                if LABEL_SEP in value or "\t" in value or "".join(value.splitlines()) != value:
+                    raise CubeFormatError(
+                        f"value {value!r} of dimension {dims[sig[0]]} contains '|', a tab "
+                        f"or a line break"
+                    )
+
+
 def write_cube(cube: GraphCube, directory: str | Path) -> None:
+    """Write one file per cuboid plus meta; refuses, before writing anything,
+    a cube that would not read back as written."""
+    _check_readable(cube)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = cube.meta
     for sig, net in sorted(cube.cuboids.items(), key=lambda kv: (len(kv[0]), kv[0])):
         path = directory / _cuboid_filename(meta.dims, sig)
-        path.write_text(_render_cuboid(net, meta.keep_members), encoding="utf-8")
+        path.write_text(_render_cuboid(net), encoding="utf-8")
     lines = [
         f"fingerprint,{meta.fingerprint}",
         f"policy,{meta.policy}",
         f"strategy,{meta.strategy}",
         f"max_level,{meta.max_level}",
         "dims," + ",".join(meta.dims),
-        f"keep_members,{str(meta.keep_members).lower()}",
         f"combines_attempted,{meta.combines_attempted}",
         f"nodes_emitted,{meta.nodes_emitted}",
     ]
@@ -350,11 +364,15 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
         raise NotMaterializedError(f"no cube meta file in {directory}")
     out: dict[str, str | tuple[str, ...]] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
-        parts = line.split(",")
-        if parts[0] == "dims":
-            out["dims"] = tuple(parts[1:])
-        elif parts[0] != "level":
-            out[parts[0]] = parts[1]
+        key, sep, rest = line.partition(",")
+        if not sep:
+            raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
+        if key == "dims":
+            out["dims"] = tuple(rest.split(","))
+        elif key != "level":
+            out[key] = rest
+    if "dims" not in out:
+        raise CubeFormatError(f"{path}: no dims line")
     return out
 
 
@@ -389,42 +407,38 @@ def locate_cuboid(
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved by locate_cuboid(). Member lists are empty when
-    the cube was written without the members sidecar.
+    ``signature`` is resolved by locate_cuboid(). Every N record needs exactly
+    one M record with as many members as its count.
     """
     sig, path = locate_cuboid(directory, signature)
-    cells: dict[tuple[str, ...], tuple[int, ...]] = {}
-    counts: dict[tuple[str, ...], int] = {}
+    counts: dict[str, int] = {}
+    members: dict[str, tuple[int, ...]] = {}
     self_edges: dict[tuple[str, ...], int] = {}
     cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         parts = line.split("\t")
         kind = parts[0]
         try:
-            if kind == "N" and len(parts) == 3:
-                values = tuple(parts[1].split(LABEL_SEP))
-                counts[values] = int(parts[2])
-                cells.setdefault(values, ())
+            if kind == "N" and len(parts) == 3 and parts[1] not in counts:
+                counts[parts[1]] = int(parts[2])
             elif kind == "S" and len(parts) == 3:
                 self_edges[tuple(parts[1].split(LABEL_SEP))] = int(parts[2])
             elif kind == "E" and len(parts) == 4:
                 a = tuple(parts[1].split(LABEL_SEP))
                 b = tuple(parts[2].split(LABEL_SEP))
                 cross_edges[(a, b)] = int(parts[3])
-            elif kind == "M" and len(parts) == 3:
-                values = tuple(parts[1].split(LABEL_SEP))
-                cells[values] = tuple(int(v) for v in parts[2].split(",")) if parts[2] else ()
+            elif kind == "M" and len(parts) == 3 and parts[1] not in members:
+                members[parts[1]] = tuple(map(int, parts[2].split(",")))
             else:
-                raise ValueError("unrecognized record")
+                raise ValueError("unrecognized or repeated record")
         except ValueError as exc:
             raise CubeFormatError(f"{path.name} line {lineno}: {line!r} ({exc})") from None
-    for values, count in counts.items():
-        if values in cells and cells[values] and len(cells[values]) != count:
-            raise CubeFormatError(
-                f"{path.name}: member list of {_label(values)} does not match its count"
-            )
-    nodes = [
-        AggregateNode(dims=sig, values=values, members=cells[values]) for values in sorted(counts)
-    ]
-    nodes.sort(key=lambda nd: nd.label)
+    if counts.keys() != members.keys():
+        raise CubeFormatError(f"{path.name}: N and M records name different cells")
+    nodes = []
+    for label in sorted(counts):
+        if len(members[label]) != counts[label]:
+            raise CubeFormatError(f"{path.name}: member list of {label!r} does not match its count")
+        values = tuple(label.split(LABEL_SEP))
+        nodes.append(AggregateNode(dims=sig, values=values, members=members[label]))
     return AggregateNetwork(signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)

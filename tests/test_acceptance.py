@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The performance criterion
 builds a full cube over a 50k-vertex graph twice per strategy and takes a few
-minutes on a desktop-class machine.
+minutes on a desktop-class machine; it is marked ``slow``, so ``pytest -m "not
+slow"`` leaves it out of a quick run.
 """
 
 import random
@@ -223,6 +224,7 @@ def test_criterion_6_effectiveness_divergence():
     report(6, "structural-vs-support divergence", passing >= 9)
 
 
+@pytest.mark.slow
 def test_criterion_7_performance_direction():
     g = generate_synthetic(
         GenParams(vertex_count=50_000, edge_count=200_000, dim_count=6, cardinality=10, seed=7)

@@ -99,6 +99,18 @@ class TestCube:
         printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert printed[-5:-1] == ["level 1", "level 2", "level 3", "level 4"]
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [("id,a,a_b,b", "1,x,y,z"), ("id,a,b", "1,x|q,y")],
+        ids=["clashing-file-names", "separator-in-value"],
+    )
+    def test_unreadable_cube_refused(self, tmp_path, header, row, capsys):
+        (tmp_path / "v.csv").write_text(f"{header}\n{row}\n")
+        (tmp_path / "e.csv").write_text("")
+        assert run("cube", tmp_path / "v.csv", tmp_path / "e.csv", tmp_path / "c", "--policy", "none") == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tsv"))
+
 
 class TestQuery:
     @pytest.fixture
@@ -128,6 +140,19 @@ class TestQuery:
         assert run("cube", *g0_files, out, "--max-level", 1) == 0
         assert run("query", out, "--dims", "Gender,City") == 3
         assert "Gender,City" in capsys.readouterr().err
+
+    def test_blank_meta_line(self, cube_dir, capsys):
+        with (cube_dir / "meta").open("a") as f:
+            f.write("\n")
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        assert "no comma" in capsys.readouterr().err
+
+    def test_meta_without_dims_line(self, cube_dir, capsys):
+        meta = cube_dir / "meta"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(line for line in lines if not line.startswith("dims,")))
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        assert "no dims line" in capsys.readouterr().err
 
 
 class TestBench:
