@@ -20,6 +20,7 @@ from .engine import (
     level1_nodes,
     locate_cuboid,
     lws_valid,
+    parse_cuboid,
     query_cuboid,
     read_cuboid,
     write_cube,

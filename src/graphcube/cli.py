@@ -17,6 +17,7 @@ from .engine import (
     Strategy,
     compute_cube,
     locate_cuboid,
+    parse_cuboid,
     write_cube,
 )
 from .errors import (
@@ -156,8 +157,10 @@ def cmd_cube(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     names = [n for n in args.dims.split(",") if n]
-    _, path = locate_cuboid(args.cube_dir, names)
-    sys.stdout.write(path.read_text(encoding="utf-8"))
+    sig, path = locate_cuboid(args.cube_dir, names)
+    text = path.read_text(encoding="utf-8")
+    parse_cuboid(text, sig, path.name)  # print only what the reader accepts
+    sys.stdout.write(text)
     return EXIT_OK
 
 

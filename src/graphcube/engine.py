@@ -11,11 +11,14 @@ feeds every level up to 2L. Both strategies must emit identical cubes.
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations, repeat
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,6 +45,7 @@ __all__ = [
     "write_cube",
     "locate_cuboid",
     "read_cuboid",
+    "parse_cuboid",
     "read_cube_meta",
 ]
 
@@ -303,20 +307,37 @@ def _render_cuboid(net: AggregateNetwork) -> str:
     return "\n".join(sections) + ("\n" if sections else "")
 
 
-def _check_readable(cube: GraphCube) -> None:
+def _name_max(directory: Path) -> int:
+    """The longest file name, in bytes, that the file system holding
+    ``directory`` (or its nearest existing ancestor) allows; -1 for no limit."""
+    for path in (directory, *directory.parents):
+        if path.exists():
+            return os.pathconf(path, "PC_NAME_MAX")
+    return -1
+
+
+def _check_readable(cube: GraphCube, directory: Path) -> None:
     """Raise CubeFormatError if the cube would not read back as it was written.
 
     File names join dimension names with '_' and labels join values with '|',
     so two cuboids may share a file and a value may split apart on reading;
-    a tab or a line break in a value breaks its record. Every value of every
-    cell appears in a level-1 cell, so checking level 1 covers the cube.
+    a tab or a line break in a value breaks its record. A file name longer
+    than ``directory``'s file system allows cannot be created at all. Every
+    value of every cell appears in a level-1 cell, so checking level 1 covers
+    the cube.
     """
     dims = cube.meta.dims
+    name_max = _name_max(directory)
     files: dict[str, tuple[int, ...]] = {}
     for sig, net in cube.cuboids.items():
         name = _cuboid_filename(dims, sig)
         if "/" in name or "\0" in name:
             raise CubeFormatError(f"cuboid file name {name!r} is not a plain file name")
+        size = len(os.fsencode(name))
+        if 0 <= name_max < size:
+            raise CubeFormatError(
+                f"cuboid file name {name!r} is {size} bytes long; the file system allows {name_max}"
+            )
         if name in files:
             raise CubeFormatError(
                 f"cuboids {[dims[d] for d in files[name]]} and {[dims[d] for d in sig]} "
@@ -337,8 +358,8 @@ def _check_readable(cube: GraphCube) -> None:
 def write_cube(cube: GraphCube, directory: str | Path) -> None:
     """Write one file per cuboid plus meta; refuses, before writing anything,
     a cube that would not read back as written."""
-    _check_readable(cube)
     directory = Path(directory)
+    _check_readable(cube, directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = cube.meta
     for sig, net in sorted(cube.cuboids.items(), key=lambda kv: (len(kv[0]), kv[0])):
@@ -407,38 +428,149 @@ def locate_cuboid(
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved by locate_cuboid(). Every N record needs exactly
-    one M record with as many members as its count.
+    ``signature`` is resolved by locate_cuboid() and the file is checked and
+    parsed by parse_cuboid().
     """
     sig, path = locate_cuboid(directory, signature)
-    counts: dict[str, int] = {}
-    members: dict[str, tuple[int, ...]] = {}
-    self_edges: dict[tuple[str, ...], int] = {}
-    cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    return parse_cuboid(path.read_text(encoding="utf-8"), sig, path.name)
+
+
+# Record kinds and their field counts, in the order the writer emits sections.
+_RECORDS = (("N", 3), ("S", 3), ("E", 4), ("M", 3))
+# The line breaks of str.splitlines() other than "\n". The writer refuses values
+# holding one, so no record of a written file contains one.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_split_label = methodcaller("split", LABEL_SEP)
+
+
+def _integers(numbers: list[str], member_lists: list[str]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Read number fields and comma-separated member fields in one JSON pass.
+
+    Fields may hold ASCII digits and '-' (and ',' between members); that check
+    keeps JSON's other literals out, and JSON refuses empty or malformed
+    integers. One JSON pass reads integers about twice as fast as int() per
+    field. Raises ValueError.
+    """
+    chars = "".join(chain(numbers, member_lists))
+    if not chars.isascii() or chars.encode().translate(None, b"0123456789,-") or "" in member_lists:
+        raise ValueError("not an integer")
+    members = f"[{'],['.join(member_lists)}]" if member_lists else ""
+    try:
+        ints, lists = json.loads(f"[[{','.join(numbers)}],[{members}]]")
+    except json.JSONDecodeError:
+        raise ValueError("not an integer") from None
+    if len(ints) != len(numbers) or len(lists) != len(member_lists):
+        raise ValueError("not an integer")  # a number field held a comma
+    return ints, list(map(tuple, lists))
+
+
+def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateNetwork:
+    """Check and parse the text of one cuboid file; ``name`` labels errors.
+
+    The N, S, E and M sections must come in that order. Each section is
+    checked and converted with whole-list operations: every line must have the
+    section's kind and field count, and its columns are sliced from one flat
+    field list. Each cell's label is split once, from its N record, and S and E
+    records look their labels up, so one values tuple serves a node and all its
+    edge keys. S and E records must name N cells, E records put the lower
+    label first, and no record is repeated. Every N record needs one M record
+    with as many members as its count. Raises CubeFormatError naming the first
+    offending line or cell.
+    """
+    t = "\n" + text  # every line now starts after a "\n"
+    end = len(t) - 1 if t.endswith("\n") else len(t)
+    # The "\n" before each section's first line; an empty section starts where
+    # the next one does. A line in the wrong section fails that section's check.
+    bounds = [0, -1, -1, -1, end]
+    pos = 0
+    for j, kind in enumerate("SEM", 1):
+        i = t.find(f"\n{kind}\t", pos, end)
+        if i >= 0:
+            bounds[j] = pos = i
+    for j in (3, 2, 1):
+        if bounds[j] < 0:
+            bounds[j] = bounds[j + 1]
+    try:
+        if any(map(text.__contains__, _OTHER_BREAKS)):
+            raise ValueError
+        columns = []
+        for (kind, width), lo, hi in zip(_RECORDS, bounds, bounds[1:]):
+            # "\nN\ta\t3\nN\tb\t1" -> ["", "\nN", "a", "3", "\nN", "b", "1"]. Only a
+            # line's first field starts with "\n", so if every width-th field is
+            # "\n" + kind and there are as many as lines, every line has the
+            # section's kind and field count.
+            section = t[lo:hi]
+            rows = section.count("\n")
+            fields = section.replace("\n", "\t\n").split("\t")
+            if len(fields) != 1 + width * rows or fields[1::width].count("\n" + kind) != rows:
+                raise ValueError
+            columns.append([fields[i::width] for i in range(2, width + 1)])
+        (n_labels, n_counts), (s_labels, s_weights), (e_a, e_b, e_weights), (m_labels, m_lists) = columns
+        ints, lists = _integers(n_counts + s_weights + e_weights, m_lists)
+        counts = dict(zip(n_labels, ints))
+        cells = dict(zip(n_labels, map(tuple, map(_split_label, n_labels))))
+        cell = cells.__getitem__
+        self_edges = dict(zip(map(cell, s_labels), ints[len(n_labels) :]))
+        # The writer puts the lower label first, so a pair has one orientation.
+        if not all(map(str.__lt__, e_a, e_b)):
+            raise ValueError
+        cross_edges = dict(zip(zip(map(cell, e_a), map(cell, e_b)), ints[len(n_labels) + len(s_labels) :]))
+        members = dict(zip(m_labels, lists))
+        if (len(counts), len(self_edges), len(cross_edges), len(members)) != (
+            len(n_labels), len(s_labels), len(e_a), len(m_labels)
+        ):
+            raise ValueError  # a repeated record
+    except (ValueError, KeyError):
+        raise _first_bad_line(text, name) from None
+    if counts.keys() != members.keys():
+        raise CubeFormatError(f"{name}: N and M records name different cells")
+    order = sorted(cells)
+    ordered = list(map(members.__getitem__, order))
+    if list(map(len, ordered)) != list(map(counts.__getitem__, order)):
+        label = next(lb for lb in order if len(members[lb]) != counts[lb])
+        raise CubeFormatError(f"{name}: member list of {label!r} does not match its count")
+    nodes = list(map(AggregateNode, repeat(signature), map(cell, order), ordered))
+    return AggregateNetwork(signature=signature, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
+
+
+def _first_bad_line(text: str, name: str) -> CubeFormatError:
+    """Error path of parse_cuboid: scan the lines one at a time for the first
+    one it refuses, so the error can name it and its number."""
+    kinds = [kind for kind, _ in _RECORDS]
+    width = dict(_RECORDS)
+    section = 0
+    seen: set[tuple[str, ...]] = set()
+    labels: set[str] = set()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         kind = parts[0]
         try:
-            if kind == "N" and len(parts) == 3 and parts[1] not in counts:
-                counts[parts[1]] = int(parts[2])
-            elif kind == "S" and len(parts) == 3:
-                self_edges[tuple(parts[1].split(LABEL_SEP))] = int(parts[2])
-            elif kind == "E" and len(parts) == 4:
-                a = tuple(parts[1].split(LABEL_SEP))
-                b = tuple(parts[2].split(LABEL_SEP))
-                cross_edges[(a, b)] = int(parts[3])
-            elif kind == "M" and len(parts) == 3 and parts[1] not in members:
-                members[parts[1]] = tuple(map(int, parts[2].split(",")))
+            if any(map(line.__contains__, _OTHER_BREAKS)):
+                raise ValueError("line break inside a record")
+            if kind not in kinds:
+                raise ValueError("unknown record kind")
+            if kinds.index(kind) < section:
+                raise ValueError(f"{kind} record after the {kinds[section]} section")
+            section = kinds.index(kind)
+            if len(parts) != width[kind]:
+                raise ValueError(f"{len(parts)} fields, not {width[kind]}")
+            key = (kind, *parts[1:-1])
+            if key in seen:
+                raise ValueError("repeated record")
+            seen.add(key)
+            if kind == "N":
+                labels.add(parts[1])
+            elif kind != "M" and not labels.issuperset(parts[1:-1]):
+                raise ValueError("label names no N cell")
+            if kind == "E" and not parts[1] < parts[2]:
+                raise ValueError("labels out of order")
+            if kind == "M":
+                _integers([], parts[-1:])
             else:
-                raise ValueError("unrecognized or repeated record")
+                _integers(parts[-1:], [])
         except ValueError as exc:
-            raise CubeFormatError(f"{path.name} line {lineno}: {line!r} ({exc})") from None
-    if counts.keys() != members.keys():
-        raise CubeFormatError(f"{path.name}: N and M records name different cells")
-    nodes = []
-    for label in sorted(counts):
-        if len(members[label]) != counts[label]:
-            raise CubeFormatError(f"{path.name}: member list of {label!r} does not match its count")
-        values = tuple(label.split(LABEL_SEP))
-        nodes.append(AggregateNode(dims=sig, values=values, members=members[label]))
-    return AggregateNetwork(signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
+            return CubeFormatError(f"{name} line {lineno}: {line!r} ({exc})")
+    return CubeFormatError(f"{name}: malformed cuboid file")

@@ -101,8 +101,12 @@ class TestCube:
 
     @pytest.mark.parametrize(
         "header, row",
-        [("id,a,a_b,b", "1,x,y,z"), ("id,a,b", "1,x|q,y")],
-        ids=["clashing-file-names", "separator-in-value"],
+        [
+            ("id,a,a_b,b", "1,x,y,z"),
+            ("id,a,b", "1,x|q,y"),
+            ("id," + ",".join(c * 100 for c in "abc"), "1,x,y,z"),
+        ],
+        ids=["clashing-file-names", "separator-in-value", "file-name-too-long"],
     )
     def test_unreadable_cube_refused(self, tmp_path, header, row, capsys):
         (tmp_path / "v.csv").write_text(f"{header}\n{row}\n")
@@ -130,6 +134,14 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "S\tM\t1" in out
         assert "E\tF\tM\t5" in out
+
+    def test_damaged_cuboid_prints_nothing(self, cube_dir, capsys):
+        path = cube_dir / "Gender.tsv"
+        path.write_text(path.read_text().replace("S\tM\t1", "S\tM\tx"))
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Gender.tsv line 3" in captured.err
 
     def test_unknown_dimension(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Bogus") == 3

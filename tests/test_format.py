@@ -7,20 +7,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcube import (
+    AggregateNetwork,
+    AggregateNode,
     CubeFormatError,
     GenParams,
     MultidimGraph,
     Strategy,
     generate_synthetic,
+    locate_cuboid,
     read_cuboid,
     write_cube,
 )
+from graphcube.engine import LABEL_SEP
 from tests.conftest import make_g0
 from tests.test_engine import build_cube
 
 
 def tsv_files(directory):
     return sorted(directory.glob("*.tsv")) if directory.exists() else []
+
+
+def reference_read(directory, signature):
+    """The line-at-a-time cuboid reader that read_cuboid's section parser replaced.
+
+    It checks less: it ignores section order, takes a repeated S or E record's
+    last weight, and accepts S and E labels that name no N cell.
+    """
+    sig, path = locate_cuboid(directory, signature)
+    counts, members, self_edges, cross_edges = {}, {}, {}, {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "N" and len(parts) == 3 and parts[1] not in counts:
+                counts[parts[1]] = int(parts[2])
+            elif kind == "S" and len(parts) == 3:
+                self_edges[tuple(parts[1].split(LABEL_SEP))] = int(parts[2])
+            elif kind == "E" and len(parts) == 4:
+                a = tuple(parts[1].split(LABEL_SEP))
+                b = tuple(parts[2].split(LABEL_SEP))
+                cross_edges[(a, b)] = int(parts[3])
+            elif kind == "M" and len(parts) == 3 and parts[1] not in members:
+                members[parts[1]] = tuple(map(int, parts[2].split(",")))
+            else:
+                raise ValueError("unrecognized or repeated record")
+        except ValueError as exc:
+            raise CubeFormatError(f"{path.name} line {lineno}: {line!r} ({exc})") from None
+    if counts.keys() != members.keys():
+        raise CubeFormatError(f"{path.name}: N and M records name different cells")
+    nodes = []
+    for label in sorted(counts):
+        if len(members[label]) != counts[label]:
+            raise CubeFormatError(f"{path.name}: member list of {label!r} does not match its count")
+        values = tuple(label.split(LABEL_SEP))
+        nodes.append(AggregateNode(dims=sig, values=values, members=members[label]))
+    return AggregateNetwork(signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
 
 
 GRAPHS = {
@@ -129,6 +170,80 @@ def test_write_read_roundtrip_property(tmp_path_factory, g, policy):
         assert read_cuboid(out, sig) == net
 
 
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(), policy=st.sampled_from(["none", "ss-mean"]))
+def test_reader_matches_reference_property(tmp_path_factory, g, policy):
+    out = tmp_path_factory.mktemp("cube")
+    cube = build_cube(g, policy)
+    try:
+        write_cube(cube, out)
+    except CubeFormatError:
+        return
+    for sig, net in cube.cuboids.items():
+        assert read_cuboid(out, sig) == reference_read(out, sig) == net
+
+
+def drop(lines, i, j, k, field):
+    del lines[i]
+
+
+def duplicate(lines, i, j, k, field):
+    lines.insert(j, lines[i])
+
+
+def move(lines, i, j, k, field):
+    lines.insert(j, lines.pop(i))
+
+
+def replace_field(lines, i, j, k, field):
+    parts = lines[i].split("\t")
+    parts[k % len(parts)] = field
+    lines[i] = "\t".join(parts)
+
+
+synthetic_graphs = st.builds(
+    lambda seed, dims: generate_synthetic(
+        GenParams(vertex_count=20, edge_count=40, dim_count=dims, cardinality=3, seed=seed)
+    ),
+    st.integers(0, 10_000),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.one_of(small_graphs(), synthetic_graphs),
+    data=st.data(),
+    mutate=st.sampled_from([drop, duplicate, move, replace_field]),
+    field=st.one_of(
+        st.sampled_from(["x", "", "-", "1.5", "1e3", "+3", " 3", "03", "[1]", "1,2", "ZZ", "F|Q"]),
+        st.integers(-2, 20).map(str),
+        st.text(max_size=4),
+    ),
+)
+def test_mutated_cuboid_property(tmp_path_factory, g, data, mutate, field):
+    """A damaged file is refused, or read as the line-at-a-time reader reads it."""
+    out = tmp_path_factory.mktemp("cube")
+    cube = build_cube(g, "none")
+    try:
+        write_cube(cube, out)
+    except CubeFormatError:
+        return
+    sig = data.draw(st.sampled_from(sorted(cube.cuboids)))
+    _, path = locate_cuboid(out, sig)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        return
+    i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
+    mutate(lines, i, j, data.draw(st.integers(0, 3)), field)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        got = read_cuboid(out, sig)
+    except CubeFormatError:
+        return
+    assert got == reference_read(out, sig)
+
+
 @pytest.mark.parametrize(
     "dims, match",
     [
@@ -140,6 +255,15 @@ def test_write_read_roundtrip_property(tmp_path_factory, g, policy):
 def test_unusable_file_names_refused(tmp_path, dims, match):
     g = MultidimGraph(dims=dims, vertices={1: tuple("xyz"[: len(dims)])}, edges=frozenset())
     with pytest.raises(CubeFormatError, match=match):
+        write_cube(build_cube(g), tmp_path / "cube")
+    assert tsv_files(tmp_path / "cube") == []
+
+
+def test_file_name_too_long_refused(tmp_path):
+    # The level-3 cuboid's file name is 306 bytes; Linux file systems allow 255.
+    dims = tuple(c * 100 for c in "abc")
+    g = MultidimGraph(dims=dims, vertices={1: ("x", "y", "z")}, edges=frozenset())
+    with pytest.raises(CubeFormatError, match="306 bytes long"):
         write_cube(build_cube(g), tmp_path / "cube")
     assert tsv_files(tmp_path / "cube") == []
 
@@ -175,3 +299,39 @@ class TestReader:
         gender.write_text(text + text.splitlines()[-1] + "\n")
         with pytest.raises(CubeFormatError, match="repeated"):
             read_cuboid(gender.parent, ["Gender"])
+
+    @pytest.mark.parametrize(
+        "after, record, match",
+        [
+            ("S\tM\t1", "S\tZZ\t7", "names no N cell"),
+            ("E\tF\tM\t5", "E\tQQ\tRR\t9", "names no N cell"),
+            ("S\tM\t1", "S\tM\t2", "repeated"),
+            ("E\tF\tM\t5", "E\tF\tM\t9", "repeated"),
+            ("E\tF\tM\t5", "E\tM\tF\t9", "out of order"),  # the same pair, reversed
+        ],
+        ids=["unknown-S-label", "unknown-E-labels", "repeated-S", "repeated-E", "reversed-E"],
+    )
+    def test_record_refused(self, gender, after, record, match):
+        gender.write_text(gender.read_text().replace(after + "\n", f"{after}\n{record}\n"))
+        with pytest.raises(CubeFormatError, match=f"line [0-9].*{match}"):
+            read_cuboid(gender.parent, ["Gender"])
+
+    def test_section_out_of_order(self, gender):
+        with gender.open("a") as f:
+            f.write("S\tF\t7\n")
+        with pytest.raises(CubeFormatError, match="line 7: 'S.*after the M section"):
+            read_cuboid(gender.parent, ["Gender"])
+
+    def test_empty_cuboid(self, gender):
+        gender.write_text("")
+        assert read_cuboid(gender.parent, ["Gender"]).nodes == []
+
+    def test_field_count_checked_per_line(self, gender):
+        # A 5-field and a 3-field line have as many fields as two E records,
+        # and every fourth field is still "E".
+        path = gender.parent / "Gender_City.tsv"
+        path.write_text(
+            path.read_text().replace("E\tF|LA\tM|NY\t1\n", "E\tF|LA\tM|NY\t1\tE\nF|NY\tM|LA\t3\n")
+        )
+        with pytest.raises(CubeFormatError, match="line 7: .*5 fields, not 4"):
+            read_cuboid(gender.parent, ["Gender", "City"])
