@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LoadError, CubeFormatError, OSError) as exc:
+    except (LoadError, CubeFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QueryError, NotMaterializedError) as exc:

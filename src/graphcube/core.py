@@ -112,11 +112,15 @@ class MultidimGraph:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical serialization of dims, vertices, edges."""
+        """SHA-256 over the canonical serialization of dims, vertices, edges.
+
+        Strings are hashed as UTF-8; a lone surrogate, which a loaded graph
+        cannot hold, is hashed as its surrogate code unit.
+        """
         h = hashlib.sha256()
-        h.update(",".join(self.dims).encode())
+        h.update(",".join(self.dims).encode("utf-8", "surrogatepass"))
         for vid in sorted(self.vertices):
-            h.update(f"\n{vid},{','.join(self.vertices[vid])}".encode())
+            h.update(f"\n{vid},{','.join(self.vertices[vid])}".encode("utf-8", "surrogatepass"))
         for u, w in sorted(self.edges):
             h.update(f"\n{u},{w}".encode())
         return h.hexdigest()

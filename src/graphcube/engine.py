@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations, repeat
-from operator import methodcaller
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,9 +49,6 @@ __all__ = [
     "read_cube_meta",
 ]
 
-LABEL_SEP = "|"
-
-
 class Strategy(str, Enum):
     LEVEL_BY_LEVEL = "level-by-level"
     STEPS_UP = "steps-up"
@@ -62,10 +59,6 @@ def lws_valid(dims: Sequence[int]) -> bool:
     if not dims:
         return False
     return all(a < b for a, b in zip(dims, dims[1:]))
-
-
-def _label(values: Sequence[str]) -> str:
-    return LABEL_SEP.join(values)
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,11 @@ class AggregateNode:
 
     @property
     def label(self) -> str:
-        return _label(self.values)
+        """The values joined with '|', for display only."""
+        return "|".join(self.values)
+
+
+_values = attrgetter("values")
 
 
 def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[AggregateNode]:
@@ -96,7 +93,11 @@ def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[Aggregate
 
 @dataclass
 class AggregateNetwork:
-    """Summary graph for one cuboid: nodes plus self/cross edge weights."""
+    """Summary graph for one cuboid: nodes plus self/cross edge weights.
+
+    Nodes are in value-tuple order, and a cross-edge key puts the lower value
+    tuple first.
+    """
 
     signature: tuple[int, ...]
     nodes: list[AggregateNode]
@@ -107,8 +108,7 @@ class AggregateNetwork:
         return self.self_edges.get(values, 0)
 
     def cross_weight(self, a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        key = (a, b) if _label(a) < _label(b) else (b, a)
-        return self.cross_edges.get(key, 0)
+        return self.cross_edges.get((a, b) if a < b else (b, a), 0)
 
     def total_edge_weight(self) -> int:
         return sum(self.self_edges.values()) + sum(self.cross_edges.values())
@@ -139,13 +139,14 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     (pruned away) contribute nothing. Zero-weight entries are omitted.
 
     Only the forward edges (u, w), u < w, of member vertices u are scanned:
-    cells are numbered, each vertex position holds its cell number (-1 for
-    none), and the (cell of u, cell of w) pairs are counted in one C-level
-    pass before being decoded into value tuples.
+    cells are numbered in value-tuple order, each vertex position holds its
+    cell number (-1 for none), and the (cell of u, cell of w) pairs are
+    counted in one C-level pass before being decoded into value tuples.
     """
+    nodes = sorted(net.nodes, key=_values)
     pos, fwd = g.forward_adjacency()
     cell = [-1] * len(fwd)
-    for c, node in enumerate(net.nodes):
+    for c, node in enumerate(nodes):
         for v in node.members:
             cell[pos[v]] = c
     us = [p for p, c in enumerate(cell) if c >= 0]
@@ -156,8 +157,7 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
             map(cell.__getitem__, chain.from_iterable(u_fwd)),
         )
     )
-    values = [node.values for node in net.nodes]
-    labels = [node.label for node in net.nodes]
+    values = list(map(_values, nodes))
     self_edges: dict[tuple[str, ...], int] = {}
     cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
     for (cu, cw), n in pairs.items():
@@ -166,8 +166,8 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
         if cu == cw:
             self_edges[values[cu]] = n
         else:
-            # Orientation as for a single edge (u, w), u < w: equal labels keep (w, u).
-            key = (values[cu], values[cw]) if labels[cu] < labels[cw] else (values[cw], values[cu])
+            # The lower cell number holds the lower value tuple.
+            key = (values[cu], values[cw]) if cu < cw else (values[cw], values[cu])
             cross_edges[key] = cross_edges.get(key, 0) + n
     return AggregateNetwork(
         signature=net.signature,
@@ -189,7 +189,7 @@ def _join(
     For each member of an A-cell, its B-cell values (if any) are looked up in
     ``b_cells`` ({vertex: values} of the B cuboid), so all non-empty pairwise
     intersections fall out of a single scan. Semantics match the pairwise
-    oracle.combine(). Returns the target cuboid's nodes in label order.
+    oracle.combine(). Returns the target cuboid's nodes in value-tuple order.
     """
     a_pick = {d: i for i, d in enumerate(a_sig)}
     b_pick = {d: i for i, d in enumerate(b_sig)}
@@ -204,7 +204,7 @@ def _join(
         for bvals, members in groups.items():
             values = tuple((a.values if side == 0 else bvals)[i] for side, i in sel)
             target.append(AggregateNode(dims=target_sig, values=values, members=tuple(members)))
-    target.sort(key=lambda nd: nd.label)
+    target.sort(key=_values)
     return target
 
 
@@ -231,7 +231,7 @@ def compute_cube(
     )
 
     t0 = time.perf_counter()
-    # signature -> its nodes in label order, levels ascending. A fully pruned
+    # signature -> its nodes in value-tuple order, levels ascending. A fully pruned
     # dimension still emits its (empty) level-1 cuboid.
     store: dict[tuple[int, ...], list[AggregateNode]] = {(d,): [] for d in range(n)}
     for node in level1_nodes(idx, table):
@@ -281,119 +281,129 @@ def query_cuboid(cube: GraphCube, dims: Sequence[str]) -> AggregateNetwork:
 
 
 # ---------------------------------------------------------------------------
-# Serialization. One tab-separated file per cuboid plus a comma-separated meta
-# file; every section is sorted so identical cubes serialize byte-identically.
+# Serialization, format 2. One tab-separated file per cuboid, named by its
+# index signature, plus a comma-separated meta file written last. Cell i of a
+# cuboid is its i-th N record; S, E and M records name cells by number. Every
+# section has a canonical order, so identical cubes serialize byte-identically.
 # ---------------------------------------------------------------------------
 
 CUBOID_EXT = ".tsv"
 META_NAME = "meta"
+FORMAT = "2"
 
 
-def _cuboid_filename(dims: tuple[str, ...], sig: tuple[int, ...]) -> str:
-    return "_".join(dims[d] for d in sig) + CUBOID_EXT
+def _cuboid_filename(sig: tuple[int, ...]) -> str:
+    return "_".join(map(str, sig)) + CUBOID_EXT
 
 
-def _render_cuboid(net: AggregateNetwork) -> str:
-    """N, S, E and M sections, each sorted; every cell's label is joined once."""
-    labels: dict[tuple[str, ...], str] = {}
-    n_lines, m_lines = [], []
-    for nd in net.nodes:
-        label = labels[nd.values] = nd.label
-        n_lines.append(f"N\t{label}\t{len(nd.members)}")
-        m_lines.append(f"M\t{label}\t{','.join(map(str, nd.members))}")
-    s_lines = [f"S\t{labels[k]}\t{w}" for k, w in net.self_edges.items()]
-    e_lines = [f"E\t{labels[a]}\t{labels[b]}\t{w}" for (a, b), w in net.cross_edges.items()]
-    sections = sorted(n_lines) + sorted(s_lines) + sorted(e_lines) + sorted(m_lines)
-    return "\n".join(sections) + ("\n" if sections else "")
+def _escape(value: str) -> str:
+    """A value as one field: verbatim unless it holds a backslash or a character
+    that str.isprintable() rejects (tabs, line breaks, other control
+    characters, lone surrogates); such a value is written as its printable
+    ASCII unicode_escape form."""
+    if value.isprintable() and "\\" not in value:
+        return value
+    return value.encode("unicode_escape").decode("ascii")
 
 
-def _name_max(directory: Path) -> int:
-    """The longest file name, in bytes, that the file system holding
-    ``directory`` (or its nearest existing ancestor) allows; -1 for no limit."""
-    for path in (directory, *directory.parents):
-        if path.exists():
-            return os.pathconf(path, "PC_NAME_MAX")
-    return -1
+def _unescape(field: str) -> str:
+    """Inverse of _escape; raises ValueError for a malformed escape."""
+    return field.encode("ascii").decode("unicode_escape") if "\\" in field else field
 
 
-def _check_readable(cube: GraphCube, directory: Path) -> None:
-    """Raise CubeFormatError if the cube would not read back as it was written.
+class _Fields(dict):
+    """{value: field}, filled as values are met, so each distinct value is
+    escaped once per write."""
 
-    File names join dimension names with '_' and labels join values with '|',
-    so two cuboids may share a file and a value may split apart on reading;
-    a tab or a line break in a value breaks its record. A file name longer
-    than ``directory``'s file system allows cannot be created at all. Every
-    value of every cell appears in a level-1 cell, so checking level 1 covers
-    the cube.
-    """
-    dims = cube.meta.dims
-    name_max = _name_max(directory)
-    files: dict[str, tuple[int, ...]] = {}
-    for sig, net in cube.cuboids.items():
-        name = _cuboid_filename(dims, sig)
-        if "/" in name or "\0" in name:
-            raise CubeFormatError(f"cuboid file name {name!r} is not a plain file name")
-        size = len(os.fsencode(name))
-        if 0 <= name_max < size:
-            raise CubeFormatError(
-                f"cuboid file name {name!r} is {size} bytes long; the file system allows {name_max}"
-            )
-        if name in files:
-            raise CubeFormatError(
-                f"cuboids {[dims[d] for d in files[name]]} and {[dims[d] for d in sig]} "
-                f"would both be written to {name}"
-            )
-        files[name] = sig
-        if len(sig) == 1:
-            for nd in net.nodes:
-                value = nd.values[0]
-                # A line break is anything str.splitlines() splits on.
-                if LABEL_SEP in value or "\t" in value or "".join(value.splitlines()) != value:
-                    raise CubeFormatError(
-                        f"value {value!r} of dimension {dims[sig[0]]} contains '|', a tab "
-                        f"or a line break"
-                    )
+    def __missing__(self, value: str) -> str:
+        field = self[value] = _escape(value)
+        return field
+
+
+def _render_cuboid(net: AggregateNetwork, fields: _Fields) -> str:
+    """N records in value-tuple order, S and E records sorted as strings, and M
+    records in cell order."""
+    nodes = sorted(net.nodes, key=_values)
+    number = {nd.values: str(i) for i, nd in enumerate(nodes)}
+    field = fields.__getitem__
+    lines = ["\t".join(("N", *map(field, nd.values), str(len(nd.members)))) for nd in nodes]
+    lines += sorted([f"S\t{number[k]}\t{w}" for k, w in net.self_edges.items()])
+    lines += sorted([f"E\t{number[a]}\t{number[b]}\t{w}" for (a, b), w in net.cross_edges.items()])
+    lines += [f"M\t{i}\t{','.join(map(str, nd.members))}" for i, nd in enumerate(nodes)]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_cube(cube: GraphCube, directory: str | Path) -> None:
-    """Write one file per cuboid plus meta; refuses, before writing anything,
-    a cube that would not read back as written."""
+    """Write one file per cuboid, then meta.
+
+    meta is the commit record. An existing one is deleted before the first
+    cuboid file is written, and the new one goes to a temporary file that is
+    moved into place last, so a write that stops part-way leaves a directory
+    that reads as no cube, never as a valid one.
+    """
     directory = Path(directory)
-    _check_readable(cube, directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = cube.meta
+    meta_path = directory / META_NAME
+    meta_path.unlink(missing_ok=True)
+    fields = _Fields()
     for sig, net in sorted(cube.cuboids.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        path = directory / _cuboid_filename(meta.dims, sig)
-        path.write_text(_render_cuboid(net), encoding="utf-8")
+        (directory / _cuboid_filename(sig)).write_text(_render_cuboid(net, fields), encoding="utf-8")
+    meta = cube.meta
     lines = [
+        f"format,{FORMAT}",
         f"fingerprint,{meta.fingerprint}",
         f"policy,{meta.policy}",
         f"strategy,{meta.strategy}",
         f"max_level,{meta.max_level}",
-        "dims," + ",".join(meta.dims),
+        "dims," + "\t".join(map(_escape, meta.dims)),
         f"combines_attempted,{meta.combines_attempted}",
         f"nodes_emitted,{meta.nodes_emitted}",
     ]
     for level, millis in meta.timings:
         lines.append(f"level,{level},{millis:.3f}")
-    (directory / META_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp = directory / (META_NAME + ".tmp")
+    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    os.replace(tmp, meta_path)
+
+
+def _read_text(path: Path) -> str:
+    """The text of a cube file; CubeFormatError if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CubeFormatError(f"{path.name}: byte {exc.start} is not UTF-8") from None
 
 
 def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
+    """The meta of a format-2 cube; ``dims`` is a tuple of names, which the
+    dims line holds as tab-separated fields escaped like values.
+
+    Raises NotMaterializedError without a meta file and CubeFormatError for a
+    malformed meta or another format.
+    """
     path = Path(directory) / META_NAME
     if not path.is_file():
         raise NotMaterializedError(f"no cube meta file in {directory}")
     out: dict[str, str | tuple[str, ...]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         key, sep, rest = line.partition(",")
         if not sep:
             raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
-        if key == "dims":
-            out["dims"] = tuple(rest.split(","))
-        elif key != "level":
+        if key != "level":
             out[key] = rest
-    if "dims" not in out:
-        raise CubeFormatError(f"{path}: no dims line")
+    if out.get("format") != FORMAT:
+        raise CubeFormatError(
+            f"{path}: cube format {out.get('format', '1')}; only format {FORMAT} is read"
+        )
+    for key in ("dims", "max_level"):
+        if key not in out:
+            raise CubeFormatError(f"{path}: no {key} line")
+    if not str(out["max_level"]).isdecimal():
+        raise CubeFormatError(f"{path}: max_level {out['max_level']!r} is not a number")
+    try:
+        out["dims"] = tuple(map(_unescape, str(out["dims"]).split("\t")))
+    except ValueError:
+        raise CubeFormatError(f"{path}: malformed dimension name in {out['dims']!r}") from None
     return out
 
 
@@ -404,10 +414,12 @@ def locate_cuboid(
 
     ``signature`` may be dimension names or indices, in any order. Raises
     QueryError for an unknown, duplicate or out-of-range dimension and
-    NotMaterializedError when the cube has no file for the cuboid.
+    NotMaterializedError when the cube has no file for the cuboid or the
+    cuboid is above the cube's max_level (a file left by an earlier cube).
     """
     directory = Path(directory)
-    dims = read_cube_meta(directory)["dims"]
+    meta = read_cube_meta(directory)
+    dims = meta["dims"]
     assert isinstance(dims, tuple)
     if signature and isinstance(next(iter(signature)), str):
         sig = _resolve_signature(dims, signature)  # type: ignore[arg-type]
@@ -417,8 +429,8 @@ def locate_cuboid(
             raise QueryError(f"dimension index out of range in {signature}")
         if not lws_valid(sig):
             raise QueryError(f"invalid signature {signature}")
-    path = directory / _cuboid_filename(dims, sig)
-    if not path.is_file():
+    path = directory / _cuboid_filename(sig)
+    if len(sig) > int(meta["max_level"]) or not path.is_file():
         raise NotMaterializedError(
             f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized"
         )
@@ -432,15 +444,19 @@ def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int])
     parsed by parse_cuboid().
     """
     sig, path = locate_cuboid(directory, signature)
-    return parse_cuboid(path.read_text(encoding="utf-8"), sig, path.name)
+    return parse_cuboid(_read_text(path), sig, path.name)
 
 
-# Record kinds and their field counts, in the order the writer emits sections.
-_RECORDS = (("N", 3), ("S", 3), ("E", 4), ("M", 3))
-# The line breaks of str.splitlines() other than "\n". The writer refuses values
+# Record kinds in the order the writer emits sections.
+_KINDS = "NSEM"
+# The line breaks of str.splitlines() other than "\n". The writer escapes values
 # holding one, so no record of a written file contains one.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_split_label = methodcaller("split", LABEL_SEP)
+
+
+def _widths(level: int) -> tuple[int, ...]:
+    """Fields per N, S, E and M record of a cuboid of ``level`` dimensions."""
+    return (level + 2, 3, 4, 3)
 
 
 def _integers(numbers: list[str], member_lists: list[str]) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -470,12 +486,12 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
     The N, S, E and M sections must come in that order. Each section is
     checked and converted with whole-list operations: every line must have the
     section's kind and field count, and its columns are sliced from one flat
-    field list. Each cell's label is split once, from its N record, and S and E
-    records look their labels up, so one values tuple serves a node and all its
-    edge keys. S and E records must name N cells, E records put the lower
-    label first, and no record is repeated. Every N record needs one M record
-    with as many members as its count. Raises CubeFormatError naming the first
-    offending line or cell.
+    field list. N records hold one value per dimension, in strictly ascending
+    value-tuple order; only fields holding a backslash are unescaped. S, E and
+    M records name cells by number: every number must name an N record, an E
+    record names the lower cell first, and no record is repeated. Every N
+    record needs one M record with as many members as its count. Raises
+    CubeFormatError naming the first offending line or cell.
     """
     t = "\n" + text  # every line now starts after a "\n"
     end = len(t) - 1 if t.endswith("\n") else len(t)
@@ -483,7 +499,7 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
     # the next one does. A line in the wrong section fails that section's check.
     bounds = [0, -1, -1, -1, end]
     pos = 0
-    for j, kind in enumerate("SEM", 1):
+    for j, kind in enumerate(_KINDS[1:], 1):
         i = t.find(f"\n{kind}\t", pos, end)
         if i >= 0:
             bounds[j] = pos = i
@@ -494,8 +510,8 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
         if any(map(text.__contains__, _OTHER_BREAKS)):
             raise ValueError
         columns = []
-        for (kind, width), lo, hi in zip(_RECORDS, bounds, bounds[1:]):
-            # "\nN\ta\t3\nN\tb\t1" -> ["", "\nN", "a", "3", "\nN", "b", "1"]. Only a
+        for kind, width, lo, hi in zip(_KINDS, _widths(len(signature)), bounds, bounds[1:]):
+            # "\nS\t0\t3\nS\t1\t1" -> ["", "\nS", "0", "3", "\nS", "1", "1"]. Only a
             # line's first field starts with "\n", so if every width-th field is
             # "\n" + kind and there are as many as lines, every line has the
             # section's kind and field count.
@@ -505,42 +521,50 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
             if len(fields) != 1 + width * rows or fields[1::width].count("\n" + kind) != rows:
                 raise ValueError
             columns.append([fields[i::width] for i in range(2, width + 1)])
-        (n_labels, n_counts), (s_labels, s_weights), (e_a, e_b, e_weights), (m_labels, m_lists) = columns
-        ints, lists = _integers(n_counts + s_weights + e_weights, m_lists)
-        counts = dict(zip(n_labels, ints))
-        cells = dict(zip(n_labels, map(tuple, map(_split_label, n_labels))))
+        *value_columns, counts = columns[0]
+        if t.find("\\", 0, bounds[1]) >= 0:
+            value_columns = [list(map(_unescape, column)) for column in value_columns]
+        values = list(zip(*value_columns))
+        (s_cells, s_weights), (e_low, e_high, e_weights), (m_cells, m_lists) = columns[1:]
+        ints, lists = _integers(counts + s_weights + e_weights, m_lists)
+        n, s = len(values), len(s_weights)
+        counts, s_weights, e_weights = ints[:n], ints[n : n + s], ints[n + s :]
+        # Cell numbers as the writer writes them; any other field raises KeyError.
+        numbers = list(map(str, range(n)))
+        cells = dict(zip(numbers, values))
         cell = cells.__getitem__
-        self_edges = dict(zip(map(cell, s_labels), ints[len(n_labels) :]))
-        # The writer puts the lower label first, so a pair has one orientation.
-        if not all(map(str.__lt__, e_a, e_b)):
+        self_edges = dict(zip(map(cell, s_cells), s_weights))
+        low, high = list(map(cell, e_low)), list(map(cell, e_high))
+        # Value tuples strictly ascend, so cells are distinct and an E record's
+        # lower cell has the lower tuple.
+        if not all(map(lt, values, values[1:])) or not all(map(lt, low, high)):
             raise ValueError
-        cross_edges = dict(zip(zip(map(cell, e_a), map(cell, e_b)), ints[len(n_labels) + len(s_labels) :]))
-        members = dict(zip(m_labels, lists))
-        if (len(counts), len(self_edges), len(cross_edges), len(members)) != (
-            len(n_labels), len(s_labels), len(e_a), len(m_labels)
-        ):
+        cross_edges = dict(zip(zip(low, high), e_weights))
+        members = dict(zip(m_cells, lists))
+        if (len(self_edges), len(cross_edges), len(members)) != (len(s_cells), len(e_low), len(m_cells)):
             raise ValueError  # a repeated record
+        if not members.keys() <= cells.keys():
+            raise ValueError  # an M record that names no N record
     except (ValueError, KeyError):
-        raise _first_bad_line(text, name) from None
-    if counts.keys() != members.keys():
+        raise _first_bad_line(text, name, len(signature)) from None
+    ordered = list(map(members.get, numbers))
+    if None in ordered:
         raise CubeFormatError(f"{name}: N and M records name different cells")
-    order = sorted(cells)
-    ordered = list(map(members.__getitem__, order))
-    if list(map(len, ordered)) != list(map(counts.__getitem__, order)):
-        label = next(lb for lb in order if len(members[lb]) != counts[lb])
-        raise CubeFormatError(f"{name}: member list of {label!r} does not match its count")
-    nodes = list(map(AggregateNode, repeat(signature), map(cell, order), ordered))
+    if list(map(len, ordered)) != counts:
+        i = next(i for i, m in enumerate(ordered) if len(m) != counts[i])
+        raise CubeFormatError(f"{name}: member list of cell {i} {values[i]!r} does not match its count")
+    nodes = list(map(AggregateNode, repeat(signature), values, ordered))
     return AggregateNetwork(signature=signature, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
 
 
-def _first_bad_line(text: str, name: str) -> CubeFormatError:
+def _first_bad_line(text: str, name: str, level: int) -> CubeFormatError:
     """Error path of parse_cuboid: scan the lines one at a time for the first
     one it refuses, so the error can name it and its number."""
-    kinds = [kind for kind, _ in _RECORDS]
-    width = dict(_RECORDS)
+    width = dict(zip(_KINDS, _widths(level)))
     section = 0
+    numbers: dict[str, int] = {}  # cell number as written -> cell, for the N records so far
+    last: tuple[str, ...] | None = None
     seen: set[tuple[str, ...]] = set()
-    labels: set[str] = set()
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()
@@ -550,27 +574,34 @@ def _first_bad_line(text: str, name: str) -> CubeFormatError:
         try:
             if any(map(line.__contains__, _OTHER_BREAKS)):
                 raise ValueError("line break inside a record")
-            if kind not in kinds:
+            if kind not in width:
                 raise ValueError("unknown record kind")
-            if kinds.index(kind) < section:
-                raise ValueError(f"{kind} record after the {kinds[section]} section")
-            section = kinds.index(kind)
+            if _KINDS.index(kind) < section:
+                raise ValueError(f"{kind} record after the {_KINDS[section]} section")
+            section = _KINDS.index(kind)
             if len(parts) != width[kind]:
                 raise ValueError(f"{len(parts)} fields, not {width[kind]}")
-            key = (kind, *parts[1:-1])
+            if kind == "M":
+                _integers([], parts[2:])
+            else:
+                _integers(parts[-1:], [])
+            if kind == "N":
+                values = tuple(map(_unescape, parts[1:-1]))
+                if last is not None and not last < values:
+                    raise ValueError("repeated record" if last == values else "N records out of order")
+                last = values
+                i = len(numbers)
+                numbers[str(i)] = i
+                continue
+            cells = parts[1:2] if kind == "M" else parts[1:-1]
+            if not all(map(numbers.__contains__, cells)):
+                raise ValueError("cell number names no N record")
+            if kind == "E" and not numbers[cells[0]] < numbers[cells[1]]:
+                raise ValueError("cell numbers out of order")
+            key = (kind, *cells)
             if key in seen:
                 raise ValueError("repeated record")
             seen.add(key)
-            if kind == "N":
-                labels.add(parts[1])
-            elif kind != "M" and not labels.issuperset(parts[1:-1]):
-                raise ValueError("label names no N cell")
-            if kind == "E" and not parts[1] < parts[2]:
-                raise ValueError("labels out of order")
-            if kind == "M":
-                _integers([], parts[-1:])
-            else:
-                _integers(parts[-1:], [])
         except ValueError as exc:
             return CubeFormatError(f"{name} line {lineno}: {line!r} ({exc})")
     return CubeFormatError(f"{name}: malformed cuboid file")

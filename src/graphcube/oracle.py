@@ -85,7 +85,7 @@ def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
         AggregateNode(dims=sig, values=values, members=tuple(members))
         for values, members in groups.items()
     ]
-    nodes.sort(key=lambda nd: nd.label)
+    nodes.sort(key=lambda nd: nd.values)
     assign = {v: nd.values for nd in nodes for v in nd.members}
     self_edges: dict[tuple[str, ...], int] = {}
     cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
@@ -94,7 +94,7 @@ def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
         if cu == cw:
             self_edges[cu] = self_edges.get(cu, 0) + 1
         else:
-            key = (cu, cw) if "|".join(cu) < "|".join(cw) else (cw, cu)
+            key = (cu, cw) if cu < cw else (cw, cu)
             cross_edges[key] = cross_edges.get(key, 0) + 1
     return AggregateNetwork(
         signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges

@@ -2,7 +2,9 @@ import filecmp
 
 import pytest
 
+from graphcube import load_graph, read_cuboid
 from graphcube.cli import main
+from tests.test_engine import build_cube
 
 
 def run(*args):
@@ -76,7 +78,7 @@ class TestCube:
 
     def test_max_level_zero_defaults_to_all(self, tmp_path, g0_files):
         assert run("cube", *g0_files, tmp_path / "c", "--max-level", 0) == 0
-        assert (tmp_path / "c" / "Gender_City.tsv").is_file()
+        assert (tmp_path / "c" / "0_1.tsv").is_file()  # Gender, City
 
     def test_max_level_out_of_range(self, tmp_path, g0_files, capsys):
         assert run("cube", *g0_files, tmp_path / "c", "--max-level", 9) == 1
@@ -109,11 +111,15 @@ class TestCube:
         ids=["clashing-file-names", "separator-in-value", "file-name-too-long"],
     )
     def test_unreadable_cube_refused(self, tmp_path, header, row, capsys):
+        """Names and values that joined file names and labels could not hold
+        are written and read back."""
         (tmp_path / "v.csv").write_text(f"{header}\n{row}\n")
         (tmp_path / "e.csv").write_text("")
-        assert run("cube", tmp_path / "v.csv", tmp_path / "e.csv", tmp_path / "c", "--policy", "none") == 2
-        assert "error:" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.tsv"))
+        assert run("cube", tmp_path / "v.csv", tmp_path / "e.csv", tmp_path / "c", "--policy", "none") == 0
+        assert "error:" not in capsys.readouterr().err
+        cube = build_cube(load_graph(tmp_path / "v.csv", tmp_path / "e.csv"))
+        for sig, net in cube.cuboids.items():
+            assert read_cuboid(tmp_path / "c", sig) == net
 
 
 class TestQuery:
@@ -132,16 +138,25 @@ class TestQuery:
     def test_gender_network(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Gender") == 0
         out = capsys.readouterr().out
-        assert "S\tM\t1" in out
-        assert "E\tF\tM\t5" in out
+        assert out.startswith("N\tF\t3\nN\tM\t3\n")  # cell 0 is F, cell 1 is M
+        assert "S\t1\t1" in out
+        assert "E\t0\t1\t5" in out
 
     def test_damaged_cuboid_prints_nothing(self, cube_dir, capsys):
-        path = cube_dir / "Gender.tsv"
-        path.write_text(path.read_text().replace("S\tM\t1", "S\tM\tx"))
+        path = cube_dir / "0.tsv"  # Gender
+        path.write_text(path.read_text().replace("S\t1\t1", "S\t1\tx"))
         assert run("query", cube_dir, "--dims", "Gender") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Gender.tsv line 3" in captured.err
+        assert "0.tsv line 3" in captured.err
+
+    def test_cuboid_not_utf8(self, cube_dir, capsys):
+        with (cube_dir / "0.tsv").open("ab") as f:
+            f.write(b"\xff\n")
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_unknown_dimension(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Bogus") == 3
@@ -158,6 +173,12 @@ class TestQuery:
             f.write("\n")
         assert run("query", cube_dir, "--dims", "Gender") == 2
         assert "no comma" in capsys.readouterr().err
+
+    def test_meta_of_another_format(self, cube_dir, capsys):
+        meta = cube_dir / "meta"
+        meta.write_text(meta.read_text().replace("format,2\n", "format,1\n"))
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        assert "cube format 1" in capsys.readouterr().err
 
     def test_meta_without_dims_line(self, cube_dir, capsys):
         meta = cube_dir / "meta"

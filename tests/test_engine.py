@@ -297,8 +297,8 @@ class TestSerialization:
 
     def test_tampered_weight_is_parse_error(self, tmp_path, g0):
         write_cube(build_cube(g0), tmp_path / "cube")
-        path = tmp_path / "cube" / "Gender.tsv"
-        path.write_text(path.read_text().replace("S\tM\t1", "S\tM\tx"))
+        path = tmp_path / "cube" / "0.tsv"  # Gender
+        path.write_text(path.read_text().replace("S\t1\t1", "S\t1\tx"))
         with pytest.raises(CubeFormatError, match="line"):
             read_cuboid(tmp_path / "cube", ["Gender"])
 
@@ -336,7 +336,7 @@ def edge_loop(g, nodes):
         if cu == cw:
             self_edges[cu] = self_edges.get(cu, 0) + 1
         else:
-            key = (cu, cw) if "|".join(cu) < "|".join(cw) else (cw, cu)
+            key = (cu, cw) if cu < cw else (cw, cu)
             cross_edges[key] = cross_edges.get(key, 0) + 1
     return self_edges, cross_edges
 
@@ -345,7 +345,8 @@ def edge_loop(g, nodes):
 def pruned_cuboids(draw):
     """A graph on sparse large ids, inserted unsorted, plus the cells of cuboid
     (0, 1) over a subset of its vertices, in arbitrary order. Values containing
-    '|' make distinct cells share a label, e.g. ('a|b', 'a') and ('a', 'b|a')."""
+    '|' give distinct cells one display label, e.g. ('a|b', 'a') and ('a', 'b|a'),
+    which must not matter: cells are ordered by value tuple."""
     ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=25, unique=True))
     value = st.sampled_from(["a", "b", "a|b", "b|a"])
     vertices = {v: (draw(value), draw(value)) for v in ids}
@@ -358,6 +359,17 @@ def pruned_cuboids(draw):
         cells.setdefault(vertices[v], []).append(v)
     nodes = [AggregateNode(dims=(0, 1), values=vals, members=tuple(m)) for vals, m in cells.items()]
     return g, draw(st.permutations(nodes))
+
+
+def test_cross_weight_of_cells_with_one_label():
+    # ('a|b', 'c') and ('a', 'b|c') both display as 'a|b|c'.
+    vertices = {1: ("a|b", "c"), 2: ("a", "b|c"), 3: ("a", "b|c"), 4: ("a|b", "c")}
+    g = MultidimGraph(dims=("x", "y"), vertices=vertices, edges=frozenset({(1, 2), (3, 4)}))
+    net = build_cube(g).cuboids[(0, 1)]
+    assert net.total_edge_weight() == 2
+    assert len(net.cross_edges) == 1
+    assert net.cross_weight(("a|b", "c"), ("a", "b|c")) == 2
+    assert net.cross_weight(("a", "b|c"), ("a|b", "c")) == 2
 
 
 @settings(max_examples=200, deadline=None)

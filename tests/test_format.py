@@ -1,4 +1,5 @@
-"""The cube's file format: pinned bytes, write/read round trip, and refusals."""
+"""The cube's file format: pinned bytes, write/read round trip, the reader's
+refusals, and a failed write."""
 
 import hashlib
 
@@ -12,13 +13,17 @@ from graphcube import (
     CubeFormatError,
     GenParams,
     MultidimGraph,
+    NotMaterializedError,
     Strategy,
+    engine,
     generate_synthetic,
+    load_graph,
     locate_cuboid,
     read_cuboid,
     write_cube,
+    write_graph,
 )
-from graphcube.engine import LABEL_SEP
+from graphcube.engine import read_cube_meta
 from tests.conftest import make_g0
 from tests.test_engine import build_cube
 
@@ -27,40 +32,55 @@ def tsv_files(directory):
     return sorted(directory.glob("*.tsv")) if directory.exists() else []
 
 
-def reference_read(directory, signature):
-    """The line-at-a-time cuboid reader that read_cuboid's section parser replaced.
+def decode(field):
+    return field.encode("ascii").decode("unicode_escape") if "\\" in field else field
 
-    It checks less: it ignores section order, takes a repeated S or E record's
-    last weight, and accepts S and E labels that name no N cell.
+
+def reference_read(directory, signature):
+    """A line-at-a-time reader of cuboid files, the reference for read_cuboid's
+    section parser.
+
+    It checks less: it ignores section order and the order of N records, and
+    int() takes numbers the writer never writes (a '+' sign, leading zeros).
     """
     sig, path = locate_cuboid(directory, signature)
-    counts, members, self_edges, cross_edges = {}, {}, {}, {}
+    values, counts, members, self_edges, cross_edges = [], [], {}, {}, {}
+
+    def cell(field):
+        i = int(field)
+        if not 0 <= i < len(values):
+            raise ValueError("names no N record")
+        return i
+
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        parts = line.split("\t")
-        kind = parts[0]
+        kind, *fields = line.split("\t")
         try:
-            if kind == "N" and len(parts) == 3 and parts[1] not in counts:
-                counts[parts[1]] = int(parts[2])
-            elif kind == "S" and len(parts) == 3:
-                self_edges[tuple(parts[1].split(LABEL_SEP))] = int(parts[2])
-            elif kind == "E" and len(parts) == 4:
-                a = tuple(parts[1].split(LABEL_SEP))
-                b = tuple(parts[2].split(LABEL_SEP))
-                cross_edges[(a, b)] = int(parts[3])
-            elif kind == "M" and len(parts) == 3 and parts[1] not in members:
-                members[parts[1]] = tuple(map(int, parts[2].split(",")))
+            if kind == "N" and len(fields) == len(sig) + 1:
+                values.append(tuple(map(decode, fields[:-1])))
+                counts.append(int(fields[-1]))
+            elif kind == "S" and len(fields) == 2 and values[cell(fields[0])] not in self_edges:
+                self_edges[values[cell(fields[0])]] = int(fields[1])
+            elif kind == "E" and len(fields) == 3 and cell(fields[0]) < cell(fields[1]):
+                key = (values[cell(fields[0])], values[cell(fields[1])])
+                if key in cross_edges:
+                    raise ValueError("repeated record")
+                cross_edges[key] = int(fields[2])
+            elif kind == "M" and len(fields) == 2 and cell(fields[0]) not in members:
+                members[cell(fields[0])] = tuple(map(int, fields[1].split(",")))
             else:
-                raise ValueError("unrecognized or repeated record")
+                raise ValueError("unrecognized, repeated or reversed record")
         except ValueError as exc:
             raise CubeFormatError(f"{path.name} line {lineno}: {line!r} ({exc})") from None
-    if counts.keys() != members.keys():
+    if len(set(values)) != len(values):
+        raise CubeFormatError(f"{path.name}: repeated N record")
+    if members.keys() != set(range(len(values))):
         raise CubeFormatError(f"{path.name}: N and M records name different cells")
     nodes = []
-    for label in sorted(counts):
-        if len(members[label]) != counts[label]:
-            raise CubeFormatError(f"{path.name}: member list of {label!r} does not match its count")
-        values = tuple(label.split(LABEL_SEP))
-        nodes.append(AggregateNode(dims=sig, values=values, members=members[label]))
+    for i, count in enumerate(counts):
+        if len(members[i]) != count:
+            raise CubeFormatError(f"{path.name}: member list of cell {i} does not match its count")
+        nodes.append(AggregateNode(dims=sig, values=values[i], members=members[i]))
+    nodes.sort(key=lambda nd: nd.values)
     return AggregateNetwork(signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
 
 
@@ -71,51 +91,52 @@ GRAPHS = {
     ),
 }
 
-# SHA-256 of every cuboid file (meta carries wall-clock timings and is left out).
+# SHA-256 of every cuboid file (meta carries wall-clock timings and is left out);
+# files are named by index signature.
 GOLDEN = {
     ("g0", "none"): {  # 4/4 values kept
-        "City.tsv": "134f21c399aba9eaf5ce9f466ceb5cd25fd46c8df1405cf29f15a755edf48f63",
-        "Gender.tsv": "9fdde34fa4b441f53ede5b59d39ff6b85161f1c1fafeb49c9665d3ead2c21040",
-        "Gender_City.tsv": "a34f3f507270fce0ca44b0d37d063cebf7ec566309af67a6b5a935c32f1993ff",
+        "0.tsv": "77f0f5b3fd175fa5f9c4c33832207858b9b3a848f4c3c1220ab020922a063cde",
+        "1.tsv": "22d6c5dd36f7b593318fabf37d4cd0fec98666a78947dd049ebf03fae351f3a4",
+        "0_1.tsv": "6e7b7b1892cc5fe75558fe978ca4afd8de2f014d1f755f451145046fe0b06811",
     },
     ("g0", "ss-mean"): {  # 2/4 values kept
-        "City.tsv": "7010133e43789e738d0d456587cbbac9f799e55c2c8d3599bbd2225e8a3bc921",
-        "Gender.tsv": "8794758484b7648cd72a6d8c6229f90a2cb0fa8fcf291add5b01364cfed5d5b6",
-        "Gender_City.tsv": "93697e3aff2c84525f0825a82713ba9fdc034a3d338d028d44b09328458e1719",
+        "0.tsv": "05a4e2461e3ec76d2d3032d7976c8619922c1090ea0eb6914073cbcc19cc5195",
+        "1.tsv": "4388d73b2c4e2b3d42f6e11edc78d5bf4005fbced6ccaf654b589ea21009f115",
+        "0_1.tsv": "4afe2344b7f6aa37d589858aaf8773f650b2a75604de69ca108ce9071481fbfc",
     },
     ("gen", "none"): {  # 12/12 values kept
-        "dim0.tsv": "8088c451dc8aa9c44ba04ef593432936ea0cde251a262e420d4ad60c0dc2802e",
-        "dim0_dim1.tsv": "524ab9f49eda661c8ef6600eba486587ef1f13d21a04ce09c328b5777264f17a",
-        "dim0_dim1_dim2.tsv": "9e2d45deb8a1ff40367293c101b76f2eb2ecba3759d2208f08442b44f4d3f21e",
-        "dim0_dim1_dim2_dim3.tsv": "09af51c27fe1cc14aa5a02bef3ff0b3dc51af3fbd067f517f2efa9ba1dc7e0d4",
-        "dim0_dim1_dim3.tsv": "7ac17ac94ed6cd7ab2b723b94864b6a190827fe802e1580e24e14a23925e2aa8",
-        "dim0_dim2.tsv": "ae3242937ea5991b592124992bf9b5151d4c03072de921498864622f7129a960",
-        "dim0_dim2_dim3.tsv": "dae7560beaeee7009a632543d817f661af3ead551c459684f3ecb397c0debe90",
-        "dim0_dim3.tsv": "4166d4839d635f07fce706823ae87ca4fcc1f229afe3d085fd7707358d654b2d",
-        "dim1.tsv": "673ea5d3565af3795ae1dde58f5ea06673c1f5e12be31f530d35ad8e80787a07",
-        "dim1_dim2.tsv": "cd3d38dc477b55830a5f038207b87036017cbf9a389015db4c0442b25f61bcdc",
-        "dim1_dim2_dim3.tsv": "085161e4156a6d7fbed91c2b3e194882adcac5d5c266ed3e7fc0991db3d8a9a1",
-        "dim1_dim3.tsv": "9c803bac6ea8f7b3afda55825243c14907b04cf24da179a9d6cb62740cbd497b",
-        "dim2.tsv": "08d50a0d13e21e115e4b34746c8cde48bd064211e64cb577ce0c5afae6867d66",
-        "dim2_dim3.tsv": "f90f812abd41f14509c96721a8d9aa68a61e2af3eac54246add9b999dcc9578d",
-        "dim3.tsv": "ffb889dfeaa435638002cbc551360c689f5d8f9b91378d4f93509322670ae39f",
+        "0.tsv": "9b55f588bbf8cac41ae3e101672a917a1f62b019feee237f004b9868efaa7d83",
+        "1.tsv": "35b1a98412101709dcbe393267ed70f6c8effc88695072c04e641c9895d574f1",
+        "2.tsv": "c8be6cc7612ed5adb6b886dc281253f5e771d97a8f51d481fd1a32570a41fe10",
+        "3.tsv": "a15a3bf355be1baa58631800cbbcea378a7e7d8be2120cfa590d2b8582059bf5",
+        "0_1.tsv": "7757fe90b480571f84838cc1b4edd0917aab5852feb484108e97bfc559f1e97b",
+        "0_2.tsv": "b55d6560930f0c51f55229a10cdac6e0556153af2600876a28cfcd59da0f177f",
+        "0_3.tsv": "055c99982c231296543cdeed630967875fdf2a4f420e57df5569e669a4ed29fe",
+        "1_2.tsv": "753b3a6afa69de2c839869ab07cb98eccfb8e6074c659986cd020ec821a5ee20",
+        "1_3.tsv": "eb23db455733848498ade1fa21d11df0bb3971a190438410273639c7aa5c03ac",
+        "2_3.tsv": "ce645b24941647e0a156e495cea51e958c1c8a4940e2a050e2e4cf38e67f53fe",
+        "0_1_2.tsv": "5e07393c76904e1ff4bf015846b273c40d30e36e91206858a3f78d85255482c9",
+        "0_1_3.tsv": "cf1e6a45691e577236b38134e254b1930afbabbfa7d0811e171455bf73ec2fb3",
+        "0_2_3.tsv": "7359965651ce3b9d55db7b03e8800538981612fcfee1a899a7a3da62bcb73aef",
+        "1_2_3.tsv": "1cbd8a112cf5941ff0a94e6fa8dce4f18d49b551d654d57801bdee9cd1a2decf",
+        "0_1_2_3.tsv": "82f3bf938fa688fe2a854f800e31b81fcf32b140548852d5b71a51ade34c1a4e",
     },
     ("gen", "ss-mean"): {  # 6/12 values kept
-        "dim0.tsv": "925542e9f86723324214e717c689cab31674ee1b1a41d833056bb71fdf80c7df",
-        "dim0_dim1.tsv": "07871f29fbb4d8952937c877359087b706b69c5aaaa3053194c9a6586a4c0da9",
-        "dim0_dim1_dim2.tsv": "8d41b7c5f18907e5827279ac3515499525b9c08a4c58db53bca9c91fc737bec0",
-        "dim0_dim1_dim2_dim3.tsv": "9fbcb74ce2ff20067db6a138cbe59c2854c08260ec4549d9fc74a3813b837d75",
-        "dim0_dim1_dim3.tsv": "e6222428e46a0a7c004588d5d93f0db2f52c6736a375a86ede168b79b764dd04",
-        "dim0_dim2.tsv": "26c4f855a1e6040cb0159012c46b63d9982b45d99e824b38ca648979c491253b",
-        "dim0_dim2_dim3.tsv": "73eac25eda4da0fc52abfda52067879244f5bc3f469c8638037eb18afddb3998",
-        "dim0_dim3.tsv": "809643a65d820a0f354136c953632e1c86b8557b0ce5deb62d34ba897449efcc",
-        "dim1.tsv": "7217b17d1892ed5e83bc94d2932c0cd13e227e6526bbaa35abc6bd2d050707a4",
-        "dim1_dim2.tsv": "057df6ef1c49c3389c08826bb06b31d0498e90140173d85ef0e7d9ef6c07fedd",
-        "dim1_dim2_dim3.tsv": "d5f6c8e4dcefedae4370e3af2ef364461f47e3f931bdddc82faf8a377158ca59",
-        "dim1_dim3.tsv": "4a4172dc3b13726254bce5c976639bb24b2593d15e5eb15f3ada5f31bc6980e1",
-        "dim2.tsv": "3bd3251a12435e8da9748ae921376e2fef6af6f69ce90acb5b90416ead50a0de",
-        "dim2_dim3.tsv": "9e78010afe4a78f82e65830bb13560ee0098e81685498270df92035fbce27128",
-        "dim3.tsv": "78e894ae72beb26b36f3f3ebbb117c13a23a622673b756c5cea8890324ff6209",
+        "0.tsv": "08ef67d7359ca2988ec5a9a5351dd14bb899514c0c3cadc8195e0da9e90eb148",
+        "1.tsv": "d801c845cebc93a1547046ffad23fb4b45cc38186ae499cc472ba7ae07427f24",
+        "2.tsv": "23b2c8b54fa9dbaabbe6dd44027c5d81bd379c215ac5d47f8fe414c4c832ce0c",
+        "3.tsv": "d1b28eae10a774ebb4b6f63c4c425b5954aabb807138aa5a0651fad2d835b16c",
+        "0_1.tsv": "0ff83a6426d6011103efa4e04c7fad07c5326c3b5d7c2985027eaa9a6f63379f",
+        "0_2.tsv": "8c0025254c561a25d03b2e4cad0234deb7dce966ec0333b436559078c9d780df",
+        "0_3.tsv": "a95805b1f72be160c981df1386aeb0d47af6da162b48b627522eac33dcbe650d",
+        "1_2.tsv": "8431c756d165fb1cbffbc63ebe996d823a0b39bd0e2801a08dec19f7397a36d4",
+        "1_3.tsv": "8040081cc6411b696e3977fd5b905c2141a1a14403ff7c5db62850031d3d0ed0",
+        "2_3.tsv": "164e69e7b456276e1777567e65496b3a2968a0277c17ade72c90b4fce380ebe0",
+        "0_1_2.tsv": "c5ee28ed0352c319b2974f695799f2d88dc93a50263e615c86684ee64bdf3a98",
+        "0_1_3.tsv": "c1473593e40a5d3d5df9c9accb6b0f1f289059580e7acaf64a92bb91f5905e1a",
+        "0_2_3.tsv": "4d006d20dcf024d335c49b53f0fa534cabf0037cc8b0630bef8727a1536f7217",
+        "1_2_3.tsv": "1212cc8279e812b19eceb93d7765cf2964a1abe3b15de2c41bda63c9d0fcaff8",
+        "0_1_2_3.tsv": "ebc70a4daebfd96ae829d38d6434db43047f5b4e515b6194405c0a078f66605f",
     },
 }
 
@@ -128,25 +149,23 @@ def test_golden_bytes(tmp_path, graph, policy, strategy):
     assert digests == GOLDEN[(graph, policy)]
 
 
-# Names without commas, line breaks or surrogates, as a UTF-8 vertex CSV header
-# gives them;
-# "a", "b" and "a_b" make file names clash.
+# Any name: files are named by index signature and meta holds the names as
+# JSON. "a", "b" and "a_b" would clash if names were joined into file names.
 names = st.one_of(
-    st.sampled_from(["a", "b", "a_b"]),
-    st.text(
-        st.characters(blacklist_characters=",", blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
-        min_size=1,
-        max_size=4,
-    ),
+    st.sampled_from(["a", "b", "a_b", "_", "a/b", "a|b", "a,b", "d" * 101, "\u00e9" * 130]),
+    st.text(max_size=4),
 )
 values = st.one_of(
-    st.sampled_from(["a", "b", "a|b", "x\ty", "n\n", "r\r", "\u2028"]),
+    st.sampled_from(
+        ["a", "b", "a|b", "x\ty", "n\n", "r\r", "\x85", "\u2028", "\\", "a\\nb", "\u00e9",
+         "\u65e5\u672c", "\ud800", "x\udfffy", "\x00", "\xa0"]
+    ),
     st.text(min_size=1, max_size=3),
 )
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, names=names, values=values):
     dims = tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True)))
     pool = draw(st.lists(values, min_size=1, max_size=4))
     n = draw(st.integers(1, 12))
@@ -156,18 +175,33 @@ def small_graphs(draw):
     return MultidimGraph(dims=dims, vertices=vertices, edges=edges)
 
 
+def assert_reads_back(cube, out):
+    write_cube(cube, out)
+    for sig, net in cube.cuboids.items():
+        assert read_cuboid(out, sig) == net
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=small_graphs(), policy=st.sampled_from(["none", "ss-mean"]))
 def test_write_read_roundtrip_property(tmp_path_factory, g, policy):
-    out = tmp_path_factory.mktemp("cube")
-    cube = build_cube(g, policy)
-    try:
-        write_cube(cube, out)
-    except CubeFormatError:
-        assert tsv_files(out) == []
-        return
-    for sig, net in cube.cuboids.items():
-        assert read_cuboid(out, sig) == net
+    assert_reads_back(build_cube(g, policy), tmp_path_factory.mktemp("cube"))
+
+
+# What a vertex CSV can hold: no commas, no line breaks, no lone surrogates.
+csv_text = st.characters(blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", blacklist_categories=("Cs",))
+csv_names = st.one_of(st.sampled_from(["a", "a_b", "a/b", "a|b", "d" * 101]), st.text(csv_text, max_size=4))
+csv_values = st.one_of(st.sampled_from(["a|b", "x\ty", "\\", "a\\nb", "\u00e9", "\x00"]), st.text(csv_text, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(csv_names, csv_values), policy=st.sampled_from(["none", "ss-mean"]))
+def test_loaded_graph_roundtrip_property(tmp_path_factory, g, policy):
+    """Every graph the loader accepts is written and read back unchanged."""
+    tmp = tmp_path_factory.mktemp("graph")
+    write_graph(g, tmp / "v.csv", tmp / "e.csv")
+    loaded = load_graph(tmp / "v.csv", tmp / "e.csv")
+    assert loaded == g
+    assert_reads_back(build_cube(loaded, policy), tmp / "cube")
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,10 +209,7 @@ def test_write_read_roundtrip_property(tmp_path_factory, g, policy):
 def test_reader_matches_reference_property(tmp_path_factory, g, policy):
     out = tmp_path_factory.mktemp("cube")
     cube = build_cube(g, policy)
-    try:
-        write_cube(cube, out)
-    except CubeFormatError:
-        return
+    write_cube(cube, out)
     for sig, net in cube.cuboids.items():
         assert read_cuboid(out, sig) == reference_read(out, sig) == net
 
@@ -201,6 +232,23 @@ def replace_field(lines, i, j, k, field):
     lines[i] = "\t".join(parts)
 
 
+def out_of_range_cell(lines, i, j, k, field):
+    """Point an S, E or M record at cell n + k of a cuboid with n cells."""
+    cells = sum(line.startswith("N\t") for line in lines)
+    parts = lines[i].split("\t")
+    if parts[0] in ("S", "E", "M"):
+        parts[1 + (k % 2 if parts[0] == "E" else 0)] = str(cells + k)
+        lines[i] = "\t".join(parts)
+
+
+def swap_e_pair(lines, i, j, k, field):
+    for n, line in enumerate(lines[i:] + lines[:i]):
+        kind, a, b, w = (line.split("\t") + [""] * 4)[:4]
+        if kind == "E":
+            lines[(i + n) % len(lines)] = "\t".join((kind, b, a, w))
+            return
+
+
 synthetic_graphs = st.builds(
     lambda seed, dims: generate_synthetic(
         GenParams(vertex_count=20, edge_count=40, dim_count=dims, cardinality=3, seed=seed)
@@ -214,9 +262,9 @@ synthetic_graphs = st.builds(
 @given(
     g=st.one_of(small_graphs(), synthetic_graphs),
     data=st.data(),
-    mutate=st.sampled_from([drop, duplicate, move, replace_field]),
+    mutate=st.sampled_from([drop, duplicate, move, replace_field, out_of_range_cell, swap_e_pair]),
     field=st.one_of(
-        st.sampled_from(["x", "", "-", "1.5", "1e3", "+3", " 3", "03", "[1]", "1,2", "ZZ", "F|Q"]),
+        st.sampled_from(["x", "", "-", "1.5", "1e3", "+3", " 3", "03", "[1]", "1,2", "ZZ", "\\", "\\x4"]),
         st.integers(-2, 20).map(str),
         st.text(max_size=4),
     ),
@@ -225,10 +273,7 @@ def test_mutated_cuboid_property(tmp_path_factory, g, data, mutate, field):
     """A damaged file is refused, or read as the line-at-a-time reader reads it."""
     out = tmp_path_factory.mktemp("cube")
     cube = build_cube(g, "none")
-    try:
-        write_cube(cube, out)
-    except CubeFormatError:
-        return
+    write_cube(cube, out)
     sig = data.draw(st.sampled_from(sorted(cube.cuboids)))
     _, path = locate_cuboid(out, sig)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -236,56 +281,123 @@ def test_mutated_cuboid_property(tmp_path_factory, g, data, mutate, field):
         return
     i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
     mutate(lines, i, j, data.draw(st.integers(0, 3)), field)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogatepass")
     try:
         got = read_cuboid(out, sig)
     except CubeFormatError:
         return
     assert got == reference_read(out, sig)
+    if mutate in (out_of_range_cell, swap_e_pair):
+        assert got == cube.cuboids[sig]  # the file had no record the mutation could damage
+
+
+def assert_roundtrip_no_joined_names(g, out):
+    assert_reads_back(build_cube(g), out)
+    assert all(f.stem.replace("_", "").isdigit() for f in tsv_files(out))
 
 
 @pytest.mark.parametrize(
-    "dims, match",
+    "dims, hazard",
     [
-        (("a", "a_b", "b"), "a_b.tsv"),  # {a_b} and {a,b} would share a_b.tsv
+        (("a", "a_b", "b"), "a_b.tsv"),  # names joined with "_": {a_b} and {a,b} would share it
         (("a/b", "c"), "not a plain file name"),
         (("a\0", "c"), "not a plain file name"),
     ],
 )
-def test_unusable_file_names_refused(tmp_path, dims, match):
+def test_unusable_file_names_refused(tmp_path, dims, hazard):
+    """Dimension names that would make unusable file names (``hazard``) are
+    written and read back, because files are named by index signature."""
     g = MultidimGraph(dims=dims, vertices={1: tuple("xyz"[: len(dims)])}, edges=frozenset())
-    with pytest.raises(CubeFormatError, match=match):
-        write_cube(build_cube(g), tmp_path / "cube")
-    assert tsv_files(tmp_path / "cube") == []
+    assert_roundtrip_no_joined_names(g, tmp_path / "cube")
+    assert hazard not in [f.name for f in tsv_files(tmp_path / "cube")]
 
 
 def test_file_name_too_long_refused(tmp_path):
-    # The level-3 cuboid's file name is 306 bytes; Linux file systems allow 255.
+    """Names whose join would be 306 bytes long, more than Linux file systems
+    allow, are written and read back."""
     dims = tuple(c * 100 for c in "abc")
     g = MultidimGraph(dims=dims, vertices={1: ("x", "y", "z")}, edges=frozenset())
-    with pytest.raises(CubeFormatError, match="306 bytes long"):
-        write_cube(build_cube(g), tmp_path / "cube")
-    assert tsv_files(tmp_path / "cube") == []
+    assert_roundtrip_no_joined_names(g, tmp_path / "cube")
+    assert (tmp_path / "cube" / "0_1_2.tsv").is_file()
 
 
 @pytest.mark.parametrize("value", ["x|q", "x\tq", "x\nq", "x\rq"])
 def test_value_the_format_cannot_hold_refused(tmp_path, value):
+    """Values holding a '|', a tab or a line break are written and read back."""
     vertices = {1: (value, "y"), 2: ("w", "y")}
     g = MultidimGraph(dims=("d", "e"), vertices=vertices, edges=frozenset({(1, 2)}))
-    with pytest.raises(CubeFormatError, match="value"):
-        write_cube(build_cube(g), tmp_path / "cube")
-    assert tsv_files(tmp_path / "cube") == []
+    assert_reads_back(build_cube(g), tmp_path / "cube")
+    assert len((tmp_path / "cube" / "0.tsv").read_text().splitlines()) == 5  # 2 N, 1 E, 2 M
+
+
+def test_values_escaped_only_where_needed(tmp_path):
+    vertices = {1: ("plain \u00e9|x",), 2: ("tab\there",), 3: ("back\\slash",), 4: ("\ud800",)}
+    g = MultidimGraph(dims=("d",), vertices=vertices, edges=frozenset())
+    write_cube(build_cube(g), tmp_path)
+    n_fields = [line.split("\t")[1] for line in (tmp_path / "0.tsv").read_text().splitlines()[:4]]
+    # In value order; all but the plain one are escaped.
+    assert n_fields == ["back\\\\slash", "plain \u00e9|x", "tab\\there", "\\ud800"]
+
+
+def test_dimension_names_with_commas(tmp_path):
+    g = MultidimGraph(dims=("a,b", "c"), vertices={1: ("x", "y")}, edges=frozenset())
+    cube = build_cube(g)
+    write_cube(cube, tmp_path)
+    assert read_cube_meta(tmp_path)["dims"] == ("a,b", "c")
+    assert read_cuboid(tmp_path, ["c"]).signature == (1,)
+    assert read_cuboid(tmp_path, [0]) == cube.cuboids[(0,)]
+    assert read_cuboid(tmp_path, ["c", "a,b"]) == cube.cuboids[(0, 1)]
+
+
+def test_meta_of_another_format_refused(tmp_path):
+    write_cube(build_cube(make_g0()), tmp_path)
+    meta = tmp_path / "meta"
+    meta.write_text("".join(line for line in meta.read_text().splitlines(True) if not line.startswith("format,")))
+    with pytest.raises(CubeFormatError, match="cube format 1; only format 2 is read"):
+        read_cuboid(tmp_path, ["Gender"])
+
+
+@pytest.mark.parametrize("fail_at", range(3))
+@pytest.mark.parametrize("over_a_cube", [False, True], ids=["fresh", "over-a-cube"])
+def test_failed_write_leaves_no_cube(tmp_path, monkeypatch, fail_at, over_a_cube):
+    cube = build_cube(make_g0())  # 3 cuboids
+    if over_a_cube:
+        write_cube(cube, tmp_path)
+    render = engine._render_cuboid
+    calls = []
+
+    def failing(net, fields):
+        calls.append(net.signature)
+        if len(calls) > fail_at:
+            raise OSError("disk full")
+        return render(net, fields)
+
+    monkeypatch.setattr(engine, "_render_cuboid", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_cube(cube, tmp_path)
+    for sig in cube.cuboids:
+        with pytest.raises(NotMaterializedError):
+            read_cuboid(tmp_path, sig)
+    assert not (tmp_path / "meta").exists()
+
+
+def test_file_of_an_earlier_larger_cube_not_read(tmp_path):
+    write_cube(build_cube(make_g0()), tmp_path)
+    write_cube(build_cube(make_g0(), max_level=1), tmp_path)
+    assert (tmp_path / "0_1.tsv").is_file()
+    with pytest.raises(NotMaterializedError):
+        read_cuboid(tmp_path, ["Gender", "City"])
 
 
 class TestReader:
     @pytest.fixture
     def gender(self, tmp_path):
         write_cube(build_cube(make_g0()), tmp_path)
-        return tmp_path / "Gender.tsv"
+        return tmp_path / "0.tsv"
 
     def test_n_record_without_m_record(self, gender):
         lines = gender.read_text().splitlines()
-        gender.write_text("\n".join(line for line in lines if not line.startswith("M\tF\t")) + "\n")
+        gender.write_text("\n".join(line for line in lines if not line.startswith("M\t0\t")) + "\n")
         with pytest.raises(CubeFormatError, match="N and M"):
             read_cuboid(gender.parent, ["Gender"])
 
@@ -303,11 +415,11 @@ class TestReader:
     @pytest.mark.parametrize(
         "after, record, match",
         [
-            ("S\tM\t1", "S\tZZ\t7", "names no N cell"),
-            ("E\tF\tM\t5", "E\tQQ\tRR\t9", "names no N cell"),
-            ("S\tM\t1", "S\tM\t2", "repeated"),
-            ("E\tF\tM\t5", "E\tF\tM\t9", "repeated"),
-            ("E\tF\tM\t5", "E\tM\tF\t9", "out of order"),  # the same pair, reversed
+            ("S\t1\t1", "S\t2\t7", "names no N record"),
+            ("E\t0\t1\t5", "E\t5\t6\t9", "names no N record"),
+            ("S\t1\t1", "S\t1\t2", "repeated"),
+            ("E\t0\t1\t5", "E\t0\t1\t9", "repeated"),
+            ("E\t0\t1\t5", "E\t1\t0\t9", "out of order"),  # the same pair, reversed
         ],
         ids=["unknown-S-label", "unknown-E-labels", "repeated-S", "repeated-E", "reversed-E"],
     )
@@ -316,9 +428,30 @@ class TestReader:
         with pytest.raises(CubeFormatError, match=f"line [0-9].*{match}"):
             read_cuboid(gender.parent, ["Gender"])
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("N\tF\t3\nN\tM\t3", "N\tM\t3\nN\tF\t3", "line 2: .*N records out of order"),
+            ("N\tM\t3", "N\tF\t3", "line 2: .*repeated"),
+            ("N\tF\t3", "N\tF\\x4\t3", "line 1: .*escape"),
+            ("S\t1\t1", "S\t-1\t1", "line 3: .*names no N record"),
+        ],
+        ids=["n-out-of-order", "repeated-n", "bad-escape", "negative-cell"],
+    )
+    def test_n_and_cell_numbers_refused(self, gender, old, new, match):
+        gender.write_text(gender.read_text().replace(old, new))
+        with pytest.raises(CubeFormatError, match=match):
+            read_cuboid(gender.parent, ["Gender"])
+
+    def test_not_utf8(self, gender):
+        with gender.open("ab") as f:
+            f.write(b"N\t\xff\t1\n")
+        with pytest.raises(CubeFormatError, match=r"0\.tsv: byte 48 is not UTF-8"):
+            read_cuboid(gender.parent, ["Gender"])
+
     def test_section_out_of_order(self, gender):
         with gender.open("a") as f:
-            f.write("S\tF\t7\n")
+            f.write("S\t0\t7\n")
         with pytest.raises(CubeFormatError, match="line 7: 'S.*after the M section"):
             read_cuboid(gender.parent, ["Gender"])
 
@@ -329,9 +462,7 @@ class TestReader:
     def test_field_count_checked_per_line(self, gender):
         # A 5-field and a 3-field line have as many fields as two E records,
         # and every fourth field is still "E".
-        path = gender.parent / "Gender_City.tsv"
-        path.write_text(
-            path.read_text().replace("E\tF|LA\tM|NY\t1\n", "E\tF|LA\tM|NY\t1\tE\nF|NY\tM|LA\t3\n")
-        )
+        path = gender.parent / "0_1.tsv"
+        path.write_text(path.read_text().replace("E\t0\t3\t1\n", "E\t0\t3\t1\tE\n1\t2\t3\n"))
         with pytest.raises(CubeFormatError, match="line 7: .*5 fields, not 4"):
             read_cuboid(gender.parent, ["Gender", "City"])
