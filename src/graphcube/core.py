@@ -9,8 +9,11 @@ are immutable after construction.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import LoadError, ParameterError, UnknownVertexError
@@ -44,6 +47,7 @@ class MultidimGraph:
     _forward: tuple[dict[int, int], list[tuple[int, ...]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _triangles: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._validate()
@@ -97,6 +101,33 @@ class MultidimGraph:
             self._forward = (pos, fwd)
         return self._forward
 
+    def triangle_counts(self) -> dict[int, int]:
+        """Per vertex, the number of triangles through it: the links among its
+        neighbors.
+
+        Every triangle u < w < x is listed once, from its lowest edge, as x in
+        F(u) & F(w), where F(v) holds the neighbors above v (forward
+        adjacency, Schank and Wagner 2005). Built on the first call and kept;
+        it takes no part in equality.
+        """
+        if self._triangles is None:
+            pos, fwd = self.forward_adjacency()
+            fsets = list(map(frozenset, fwd))
+            counts = [0] * len(fwd)
+            thirds = []
+            for u, fu in enumerate(fsets):
+                for w in fu:
+                    common = fu & fsets[w]
+                    if common:
+                        n = len(common)
+                        counts[u] += n
+                        counts[w] += n
+                        thirds.append(common)
+            for x, n in Counter(chain.from_iterable(thirds)).items():
+                counts[x] += n
+            self._triangles = dict(zip(pos, counts))
+        return self._triangles
+
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
@@ -112,18 +143,18 @@ class MultidimGraph:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical serialization of dims, vertices, edges.
+        """SHA-256 of the JSON document [dims, vertices, forward]: ``vertices``
+        lists [id, *values] by ascending id, and ``forward`` lists, per vertex
+        in that order, the ascending positions of its higher-id neighbors.
 
-        Strings are hashed as UTF-8; a lone surrogate, which a loaded graph
-        cannot hold, is hashed as its surrogate code unit.
+        JSON quotes and escapes every string, so no name or value can pass for
+        a separator, and distinct graphs serialize differently. The document is
+        ASCII: other characters, lone surrogates included, are escaped.
         """
-        h = hashlib.sha256()
-        h.update(",".join(self.dims).encode("utf-8", "surrogatepass"))
-        for vid in sorted(self.vertices):
-            h.update(f"\n{vid},{','.join(self.vertices[vid])}".encode("utf-8", "surrogatepass"))
-        for u, w in sorted(self.edges):
-            h.update(f"\n{u},{w}".encode())
-        return h.hexdigest()
+        _, fwd = self.forward_adjacency()
+        vertices = self.vertices
+        doc = [self.dims, [(vid, *vertices[vid]) for vid in sorted(vertices)], list(map(sorted, fwd))]
+        return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
 @dataclass
@@ -170,14 +201,21 @@ class GenParams:
         return int(round(self.hub_fraction * self.vertex_count))
 
 
+def _read_lines(path: Path, kind: str) -> list[str]:
+    """The lines of a UTF-8 input file; LoadError if it cannot be read or decoded."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise LoadError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{kind} file {path}: byte {exc.start} is not UTF-8") from None
+
+
 def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tuple[MultidimGraph, LoadReport]:
     """Load a graph from the vertex/edge CSV pair, reporting dropped input."""
     vertex_file = Path(vertex_file)
     edge_file = Path(edge_file)
-    try:
-        vlines = vertex_file.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError(f"cannot read vertex file {vertex_file}: {exc}") from exc
+    vlines = _read_lines(vertex_file, "vertex")
     if not vlines:
         raise LoadError(f"vertex file {vertex_file} is empty")
     header = vlines[0].split(",")
@@ -208,10 +246,7 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
 
     report = LoadReport()
     edges: set[tuple[int, int]] = set()
-    try:
-        elines = edge_file.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError(f"cannot read edge file {edge_file}: {exc}") from exc
+    elines = _read_lines(edge_file, "edge")
     for lineno, line in enumerate(elines, start=1):
         if not line.strip():
             continue

@@ -61,7 +61,7 @@ def lws_valid(dims: Sequence[int]) -> bool:
     return all(a < b for a, b in zip(dims, dims[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateNode:
     """One cell of a cuboid: value tuple plus its member vertex ids."""
 
@@ -87,7 +87,7 @@ def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[Aggregate
     nodes = []
     for (d, value), members in sorted(idx.entries.items()):
         if table.keep(d, value):
-            nodes.append(AggregateNode(dims=(d,), values=(value,), members=tuple(members)))
+            nodes.append(AggregateNode((d,), (value,), tuple(members)))
     return nodes
 
 
@@ -179,32 +179,38 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
 
 def _join(
     a_nodes: list[AggregateNode],
-    b_cells: dict[int, tuple[str, ...]],
-    a_sig: tuple[int, ...],
-    b_sig: tuple[int, ...],
+    b_nodes: list[AggregateNode],
+    b_cell: dict[int, int],
+    overlap: int,
     target_sig: tuple[int, ...],
 ) -> list[AggregateNode]:
     """Intersect every compatible cell pair of two parent cuboids in one sweep.
 
-    For each member of an A-cell, its B-cell values (if any) are looked up in
-    ``b_cells`` ({vertex: values} of the B cuboid), so all non-empty pairwise
-    intersections fall out of a single scan. Semantics match the pairwise
-    oracle.combine(). Returns the target cuboid's nodes in value-tuple order.
+    The members of each A cell are grouped by their B cell number, looked up
+    in ``b_cell`` ({vertex: cell number} of the B cuboid), so all non-empty
+    pairwise intersections fall out of a single scan. The first ``overlap``
+    dimensions of B are A's last ones. Semantics match the pairwise
+    oracle.combine().
+
+    Returns the target cuboid's nodes in value-tuple order, with no sort:
+    A cells come in value-tuple order, and the B cells that one A cell meets
+    agree on the overlap, so B cell number order is the order of the values
+    they add.
     """
-    a_pick = {d: i for i, d in enumerate(a_sig)}
-    b_pick = {d: i for i, d in enumerate(b_sig)}
-    sel = [(0, a_pick[d]) if d in a_pick else (1, b_pick[d]) for d in target_sig]
     target: list[AggregateNode] = []
+    get = b_cell.get
     for a in a_nodes:
-        groups: dict[tuple[str, ...], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for v in a.members:
-            bvals = b_cells.get(v)
-            if bvals is not None:
-                groups.setdefault(bvals, []).append(v)
-        for bvals, members in groups.items():
-            values = tuple((a.values if side == 0 else bvals)[i] for side, i in sel)
-            target.append(AggregateNode(dims=target_sig, values=values, members=tuple(members)))
-    target.sort(key=_values)
+            j = get(v)
+            if j is not None:
+                if j in groups:
+                    groups[j].append(v)
+                else:
+                    groups[j] = [v]
+        for j in sorted(groups):
+            values = a.values + b_nodes[j].values[overlap:]
+            target.append(AggregateNode(target_sig, values, tuple(groups[j])))
     return target
 
 
@@ -238,7 +244,7 @@ def compute_cube(
         store[node.dims].append(node)
     meta.timings.append((1, (time.perf_counter() - t0) * 1000.0))
 
-    cells: dict[tuple[int, ...], dict[int, tuple[str, ...]]] = {}  # B side: {vertex: values}
+    cells: dict[tuple[int, ...], dict[int, int]] = {}  # B side: {vertex: cell number}
     for k in range(2, max_level + 1):
         # Prefix and suffix of length p cover every level-k signature: 2p >= k.
         p = k - 1 if strategy is Strategy.LEVEL_BY_LEVEL else (k + 1) // 2
@@ -247,8 +253,8 @@ def compute_cube(
             meta.combines_attempted += 1
             b_sig = sig[k - p:]
             if b_sig not in cells:
-                cells[b_sig] = {v: nd.values for nd in store[b_sig] for v in nd.members}
-            store[sig] = _join(store[sig[:p]], cells[b_sig], sig[:p], b_sig, sig)
+                cells[b_sig] = {v: i for i, nd in enumerate(store[b_sig]) for v in nd.members}
+            store[sig] = _join(store[sig[:p]], store[b_sig], cells[b_sig], 2 * p - k, sig)
         meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
 
     cuboids: dict[tuple[int, ...], AggregateNetwork] = {}

@@ -72,13 +72,13 @@ def _cc_and_density(g: MultidimGraph, v: int) -> tuple[float, float]:
 
     The links inside the closed neighborhood are the links among the
     neighbors plus v's own d edges, so one count of the former gives both.
+    That count is the number of triangles through v, which the graph lists
+    for all its vertices at once on the first call.
     """
-    nbrs = g.neighbors(v)
-    d = len(nbrs)
+    d = len(g.neighbors(v))
     if d == 0:
         return 0.0, 0.0
-    # Each link among the neighbors is seen once from each of its ends.
-    links = sum(len(g.neighbors(u) & nbrs) for u in nbrs) // 2
+    links = g.triangle_counts()[v]
     cc = links / (d * (d - 1) / 2) if d >= 2 else 0.0
     return cc, (links + d) / ((d + 1) * d / 2)
 
@@ -98,10 +98,9 @@ def attribute_diversity(g: MultidimGraph, v: int) -> float:
     nbrs = g.neighbors(v)
     if not nbrs:
         return 0.0
-    attrs = [g.attributes(u) for u in nbrs]
     total = 0.0
-    for j in range(g.dim_count):
-        total += len({a[j] for a in attrs}) / len(nbrs)
+    for column in zip(*map(g.vertices.__getitem__, nbrs)):
+        total += len(set(column)) / len(nbrs)
     return total / g.dim_count
 
 

@@ -57,6 +57,13 @@ class TestSs:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_vertex_file_not_utf8(self, tmp_path, g0_files, capsys):
+        with open(g0_files[0], "ab") as f:
+            f.write(b"7,\xff,NY\n")
+        code = run("ss", *g0_files, "--out", tmp_path / "ss.csv")
+        assert code == 2
+        assert "is not UTF-8" in capsys.readouterr().err
+
 
 class TestCube:
     def test_strategies_identical_directories(self, tmp_path, g0_files):

@@ -63,6 +63,75 @@ class TestLoadGraph:
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
         assert g1.fingerprint() == g0.fingerprint()
 
+    @pytest.mark.parametrize("which", ["vertex", "edge"])
+    def test_not_utf8(self, tmp_path, which):
+        (tmp_path / "v.csv").write_text("id,D\n1,x\n2,y\n")
+        (tmp_path / "e.csv").write_text("1,2\n")
+        with open(tmp_path / f"{which[0]}.csv", "ab") as f:
+            f.write(b"\xff\n")
+        with pytest.raises(LoadError, match=rf"{which} file .*: byte \d+ is not UTF-8"):
+            load_graph(tmp_path / "v.csv", tmp_path / "e.csv")
+
+
+class TestFingerprint:
+    def test_separators_inside_names_and_values(self):
+        # Joined with commas, both graphs would read "a,b" / "1,x,y".
+        one = MultidimGraph(dims=("a,b",), vertices={1: ("x,y",)}, edges=frozenset())
+        two = MultidimGraph(dims=("a", "b"), vertices={1: ("x", "y")}, edges=frozenset())
+        assert one.fingerprint() != two.fingerprint()
+
+    def test_edges_and_ids_count(self, g0):
+        other_edge = MultidimGraph(g0.dims, g0.vertices, g0.edges - {(5, 6)} | {(4, 6)})
+        shifted = MultidimGraph(
+            g0.dims, {v + 1: a for v, a in g0.vertices.items()},
+            frozenset((u + 1, w + 1) for u, w in g0.edges),
+        )
+        prints = {g.fingerprint() for g in (g0, other_edge, shifted)}
+        assert len(prints) == 3
+
+
+def reference_triangles(g: MultidimGraph, v: int) -> int:
+    """Links among v's neighbors, each seen once from each of its ends."""
+    nbrs = g.neighbors(v)
+    return sum(len(g.neighbors(u) & nbrs) for u in nbrs) // 2
+
+
+@st.composite
+def shaped_graphs(draw):
+    """Disjoint cliques, stars, paths (degree-1 ends) and isolated vertices,
+    with random extra edges, on shuffled ids."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from(["clique", "star", "path", "isolated"]),
+                                     st.integers(1, 7)), min_size=1, max_size=5))
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    for kind, size in blocks:
+        ids = range(n, n + size)
+        if kind == "clique":
+            edges.update((u, w) for u in ids for w in ids if u < w)
+        elif kind == "star":
+            edges.update((n, w) for w in ids[1:])
+        elif kind == "path":
+            edges.update(zip(ids, ids[1:]))
+        n += size
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        edges.update(tuple(sorted(p)) for p in draw(st.lists(pairs, max_size=2 * n)))
+    ids = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((ids[u], ids[w]))) for u, w in edges}
+    return MultidimGraph(dims=("D",), vertices={i: ("x",) for i in ids}, edges=frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shaped_graphs())
+def test_triangle_counts_property(g):
+    counts = g.triangle_counts()
+    assert counts == {v: reference_triangles(g, v) for v in g.vertices}
+    assert g.triangle_counts() is counts
+
+
+def test_triangle_counts_g0(g0):
+    assert g0.triangle_counts() == {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0}
+
 
 class TestInvertedIndex:
     def test_g0_entries(self, g0_idx):

@@ -140,6 +140,44 @@ class TestSignificanceTable:
             assert total == len(g0.vertices)
 
 
+def reference_vertex_score(g, v):
+    """The per-vertex formulas before links were counted by triangle listing:
+    links from neighbor-set intersections, diversity one dimension at a time."""
+    nbrs = g.neighbors(v)
+    d = len(nbrs)
+    if d == 0:
+        return 0.0
+    links = sum(len(g.neighbors(u) & nbrs) for u in nbrs) // 2
+    cc = links / (d * (d - 1) / 2) if d >= 2 else 0.0
+    density = (links + d) / ((d + 1) * d / 2)
+    attrs = [g.attributes(u) for u in nbrs]
+    total = 0.0
+    for j in range(g.dim_count):
+        total += len({a[j] for a in attrs}) / len(nbrs)
+    return total / g.dim_count * cc + density
+
+
+def reference_table(g, idx):
+    scores = {v: reference_vertex_score(g, v) for v in g.vertices}
+    ss = {key: sum(scores[v] for v in members) for key, members in idx.entries.items()}
+    per_dim = {}
+    for (d, _), x in ss.items():
+        per_dim.setdefault(d, []).append(x)
+    return ss, {d: sum(xs) / len(xs) for d, xs in per_dim.items()}
+
+
+@pytest.mark.parametrize("seed,hub", [(1, 0.0), (2, 0.05), (3, 0.1), (4, 0.2)])
+def test_table_bit_identical_to_per_vertex_formulas(seed, hub):
+    g = generate_synthetic(GenParams(vertex_count=150, edge_count=900, dim_count=3,
+                                     cardinality=4, seed=seed, hub_fraction=hub))
+    idx = build_inverted_index(g)
+    t = significance_table(g, idx)
+    ss, thresholds = reference_table(g, idx)
+    assert {k: row.ss.hex() for k, row in t.rows.items()} == {k: x.hex() for k, x in ss.items()}
+    assert {d: x.hex() for d, x in t.thresholds.items()} == {d: x.hex() for d, x in thresholds.items()}
+    assert {k: row.keep for k, row in t.rows.items()} == {k: x >= thresholds[k[0]] for k, x in ss.items()}
+
+
 class TestApplyPolicy:
     def test_support_three_keeps_all(self, g0_table):
         t = apply_policy(g0_table, PrunePolicy(kind="support", min_support=3))
