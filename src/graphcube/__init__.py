@@ -42,7 +42,6 @@ from .measures import (
     apply_policy,
     attribute_diversity,
     clustering_coefficient,
-    degree_baseline,
     local_density,
     significance_table,
     vertex_score,

@@ -1,41 +1,31 @@
-"""Command-line interface: gen, ss, cube, query, bench.
+"""Score, prune and cube multidimensional graphs: gen, ss, cube, query.
 
-Exit codes: 0 success, 1 usage/parameter, 2 input/load, 3 query miss,
-4 internal verification failure.
+Exit codes: 0 success, 1 usage or parameter error, 2 input error (a file
+that cannot be read, is not UTF-8 or is malformed), 3 query miss.
 """
 
 from __future__ import annotations
 
 import argparse
-import platform
 import sys
-import time
 from pathlib import Path
 
 from .core import GenParams, generate_synthetic, load_graph_with_report, write_graph, build_inverted_index
 from .engine import (
     Strategy,
+    _read_text,
     compute_cube,
     locate_cuboid,
     parse_cuboid,
     write_cube,
 )
-from .errors import (
-    CubeFormatError,
-    LoadError,
-    NotMaterializedError,
-    ParameterError,
-    QueryError,
-    VerificationError,
-)
+from .errors import CubeFormatError, LoadError, NotMaterializedError, ParameterError, QueryError
 from .measures import PrunePolicy, apply_policy, significance_table, write_significance_csv
-from .oracle import compare
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_QUERY = 3
-EXIT_VERIFY = 4
 
 STRATEGIES = {"level": Strategy.LEVEL_BY_LEVEL, "steps": Strategy.STEPS_UP}
 
@@ -79,19 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cube_dir")
     p.add_argument("--dims", required=True, help="comma-separated dimension names")
 
-    p = sub.add_parser("bench", help="compare both strategies on one graph")
-    _add_graph_args(p)
-    p.add_argument("--levels", type=int, default=0, help="max level; 0 means all dimensions")
-    p.add_argument("--repeats", type=int, default=1)
-    _add_policy_flags(p)
-    p.set_defaults(policy="none")
-    p.add_argument("--out", required=True, help="benchmark report CSV path")
-
     return parser
 
 
 def _policy(args: argparse.Namespace) -> PrunePolicy:
-    return PrunePolicy(kind=args.policy, min_support=max(args.min_support, 1))
+    return PrunePolicy(kind=args.policy, min_support=args.min_support)
 
 
 def _load_pipeline(args: argparse.Namespace):
@@ -158,49 +140,9 @@ def cmd_cube(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     names = [n for n in args.dims.split(",") if n]
     sig, path = locate_cuboid(args.cube_dir, names)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     parse_cuboid(text, sig, path.name)  # print only what the reader accepts
     sys.stdout.write(text)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeats < 1:
-        raise ParameterError("--repeats must be >= 1")
-    g, idx, table = _load_pipeline(args)
-    max_level = args.levels if args.levels else g.dim_count
-    rows = []
-    for repeat in range(args.repeats):
-        cubes = {}
-        for name in ("level", "steps"):
-            t0 = time.perf_counter()
-            cube = compute_cube(g, idx, table, strategy=STRATEGIES[name], max_level=max_level)
-            wall = (time.perf_counter() - t0) * 1000.0
-            cubes[name] = cube
-            rows.append(
-                (
-                    STRATEGIES[name].value,
-                    table.policy,
-                    max_level,
-                    wall,
-                    cube.meta.nodes_emitted,
-                    cube.meta.combines_attempted,
-                )
-            )
-        diff = compare(cubes["level"], cubes["steps"])
-        if diff:
-            raise VerificationError(
-                f"strategies disagree on repeat {repeat}: "
-                f"{len(diff.missing_nodes)} missing, {len(diff.extra_nodes)} extra, "
-                f"{len(diff.member_mismatches)} member and "
-                f"{len(diff.weight_mismatches)} weight mismatches"
-            )
-    lines = [f"# environment={platform.platform()} python={platform.python_version()}"]
-    lines.append("strategy,policy,max_level,wall_millis,nodes_emitted,combines_attempted")
-    for strategy, policy, lvl, wall, nodes, comb in rows:
-        lines.append(f"{strategy},{policy},{lvl},{wall:.3f},{nodes},{comb}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(rows)} benchmark rows -> {args.out}")
     return EXIT_OK
 
 
@@ -209,7 +151,6 @@ COMMANDS = {
     "ss": cmd_ss,
     "cube": cmd_cube,
     "query": cmd_query,
-    "bench": cmd_bench,
 }
 
 
@@ -224,15 +165,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LoadError, CubeFormatError, OSError, UnicodeDecodeError) as exc:
+    except (LoadError, CubeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QueryError, NotMaterializedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUERY
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 def entry() -> None:

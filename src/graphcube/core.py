@@ -128,9 +128,6 @@ class MultidimGraph:
             self._triangles = dict(zip(pos, counts))
         return self._triangles
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def has_edge(self, u: int, w: int) -> bool:
         if u == w:
             return False
@@ -222,6 +219,8 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
     if len(header) < 2 or header[0] != "id":
         raise LoadError(f"vertex file header must be 'id,<dim1>,...': got {vlines[0]!r}")
     dims = tuple(header[1:])
+    if len(set(dims)) != len(dims):
+        raise LoadError(f"vertex file {vertex_file}: header repeats a dimension name: {vlines[0]!r}")
     n = len(dims)
 
     vertices: dict[int, tuple[str, ...]] = {}

@@ -25,7 +25,6 @@ __all__ = [
     "vertex_score",
     "significance_table",
     "apply_policy",
-    "degree_baseline",
     "write_significance_csv",
 ]
 
@@ -141,14 +140,6 @@ def apply_policy(t: SignificanceTable, p: PrunePolicy) -> SignificanceTable:
 
     rows = {key: replace(row, keep=keep(key, row)) for key, row in t.rows.items()}
     return SignificanceTable(rows=rows, thresholds=dict(t.thresholds), policy=p.kind)
-
-
-def degree_baseline(g: MultidimGraph, idx: InvertedIndex) -> dict[tuple[int, str], float]:
-    """Comparison baseline: per value, the sum of its member vertices' degrees."""
-    return {
-        key: float(sum(g.degree(v) for v in members))
-        for key, members in idx.entries.items()
-    }
 
 
 def write_significance_csv(t: SignificanceTable, dims: tuple[str, ...], path: str | Path) -> None:

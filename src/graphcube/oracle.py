@@ -4,7 +4,8 @@ Everything here works directly off the vertex table and edge list: cuboids are
 computed by a plain group-by with a per-edge loop, and significance scores are
 re-derived in exact rational arithmetic. The inverted index, the engine's join
 and its edge kernel are deliberately never used, so agreement between the two
-paths is meaningful. combine() is the pairwise reference for the engine's join.
+paths is meaningful. combine() merges two cells pairwise; no test compares it
+with the engine's join, which is checked against oracle_cuboid() instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import filecmp
+import re
 
 import pytest
 
@@ -51,6 +52,20 @@ class TestSs:
         out = tmp_path / "ss.csv"
         assert run("ss", *g0_files, "--out", out, "--policy", "support", "--min-support", 3) == 0
         assert all(line.endswith("true") for line in out.read_text().splitlines()[1:])
+
+    @pytest.mark.parametrize("min_support", [0, -5])
+    def test_min_support_below_one(self, tmp_path, g0_files, min_support, capsys):
+        out = tmp_path / "ss.csv"
+        code = run("ss", *g0_files, "--out", out, "--policy", "support", "--min-support", min_support)
+        assert code == 1
+        assert "min_support must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_dimension_name(self, tmp_path, capsys):
+        (tmp_path / "v.csv").write_text("id,a,a\n1,x,y\n")
+        (tmp_path / "e.csv").write_text("")
+        assert run("ss", tmp_path / "v.csv", tmp_path / "e.csv", "--out", tmp_path / "ss.csv") == 2
+        assert "v.csv: header repeats a dimension name" in capsys.readouterr().err
 
     def test_missing_edge_file(self, tmp_path, g0_files, capsys):
         code = run("ss", g0_files[0], tmp_path / "nope.csv", "--out", tmp_path / "ss.csv")
@@ -195,36 +210,31 @@ class TestQuery:
         assert "no dims line" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_report_rows(self, tmp_path, g0_files):
-        out = tmp_path / "bench.csv"
-        assert run("bench", *g0_files, "--repeats", 3, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("# environment=")
-        assert lines[1] == "strategy,policy,max_level,wall_millis,nodes_emitted,combines_attempted"
-        assert len(lines) == 2 + 6  # 2 strategies x 3 repeats
+@pytest.mark.parametrize(
+    "command, target",
+    [("ss", "vertices.csv"), ("cube", "edges.csv"), ("query", "0.tsv"), ("query", "meta")],
+    ids=["ss-vertex-csv", "cube-edge-csv", "query-cuboid", "query-meta"],
+)
+def test_file_not_utf8_is_input_error(tmp_path, g0_files, command, target, capsys):
+    """Every file the CLI reads is decoded through a check that names the file."""
+    cube_dir = tmp_path / "cube"
+    assert run("cube", *g0_files, cube_dir, "--policy", "none") == 0
+    with (tmp_path / target if target.endswith(".csv") else cube_dir / target).open("ab") as f:
+        f.write(b"\xff\n")
+    capsys.readouterr()
+    args = {
+        "ss": ("ss", *g0_files, "--out", tmp_path / "ss.csv"),
+        "cube": ("cube", *g0_files, tmp_path / "cube2"),
+        "query": ("query", cube_dir, "--dims", "Gender"),
+    }[command]
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"{re.escape(target)}: byte \d+ is not UTF-8", captured.err)
 
-    def test_matched_combines_invariant(self, tmp_path):
-        gdir = tmp_path / "g"
-        assert run(
-            "gen", "--vertices", 80, "--edges", 200, "--dims", 4,
-            "--card", 2, "--seed", 3, "--out", gdir,
-        ) == 0
-        out = tmp_path / "bench.csv"
-        assert run(
-            "bench", gdir / "vertices.csv", gdir / "edges.csv", "--repeats", 2, "--out", out
-        ) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
-        by_strategy = {}
-        for row in rows:
-            by_strategy.setdefault(row[0], []).append(row)
-            assert float(row[3]) > 0
-        for lvl_row, steps_row in zip(by_strategy["level-by-level"], by_strategy["steps-up"]):
-            assert int(steps_row[5]) <= int(lvl_row[5])
-            assert lvl_row[4] == steps_row[4]  # same node count
 
-    def test_usage_error_on_bad_repeats(self, tmp_path, g0_files):
-        assert run("bench", *g0_files, "--repeats", 0, "--out", tmp_path / "b.csv") == 1
+def test_bench_is_not_a_subcommand():
+    assert main(["bench", "v.csv", "e.csv", "--out", "b.csv"]) == 1
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -55,6 +55,12 @@ class TestLoadGraph:
         with pytest.raises(LoadError, match="duplicate vertex id"):
             load_graph(tmp_path / "v.csv", tmp_path / "e.csv")
 
+    def test_repeated_dimension_name(self, tmp_path):
+        (tmp_path / "v.csv").write_text("id,a,a\n1,x,y\n")
+        (tmp_path / "e.csv").write_text("")
+        with pytest.raises(LoadError, match=r"vertex file .*v\.csv: header repeats a dimension name"):
+            load_graph(tmp_path / "v.csv", tmp_path / "e.csv")
+
     def test_roundtrip_idempotent(self, tmp_path, g0):
         write_graph(g0, tmp_path / "v.csv", tmp_path / "e.csv")
         g1 = load_graph(tmp_path / "v.csv", tmp_path / "e.csv")

@@ -10,7 +10,6 @@ from graphcube import (
     attribute_diversity,
     build_inverted_index,
     clustering_coefficient,
-    degree_baseline,
     generate_synthetic,
     local_density,
     significance_table,
@@ -211,22 +210,6 @@ class TestApplyPolicy:
                 for key, row in g0_table.rows.items()
             }
             assert scaled_keep == {key: row.keep for key, row in g0_table.rows.items()}
-
-
-class TestDegreeBaseline:
-    def test_g0_gender_m(self, g0, g0_idx):
-        baseline = degree_baseline(g0, g0_idx)
-        assert baseline[(0, "M")] == 7.0
-
-    def test_handshake_per_dimension(self, g0, g0_idx):
-        baseline = degree_baseline(g0, g0_idx)
-        for d in range(g0.dim_count):
-            total = sum(v for (dd, _), v in baseline.items() if dd == d)
-            assert total == 2 * len(g0.edges)
-
-    def test_single_vertex(self):
-        g = MultidimGraph(dims=("D",), vertices={1: ("x",)}, edges=frozenset())
-        assert degree_baseline(g, build_inverted_index(g)) == {(0, "x"): 0.0}
 
 
 def test_csv_export(tmp_path, g0, g0_table):
