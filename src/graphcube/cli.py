@@ -32,7 +32,8 @@ STRATEGIES = {"level": Strategy.LEVEL_BY_LEVEL, "steps": Strategy.STEPS_UP}
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", choices=["none", "ss-mean", "support"], default="ss-mean")
-    p.add_argument("--min-support", type=int, default=1)
+    p.add_argument("--min-support", type=int, default=None,
+                   help="smallest support a value keeps under --policy support (default 1)")
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -73,10 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy(args: argparse.Namespace) -> PrunePolicy:
+    if args.min_support is None:
+        return PrunePolicy(kind=args.policy)
+    if args.policy != "support":
+        raise ParameterError(f"--min-support applies only to --policy support, not {args.policy}")
     return PrunePolicy(kind=args.policy, min_support=args.min_support)
 
 
 def _load_pipeline(args: argparse.Namespace):
+    policy = _policy(args)  # refuse bad flags before reading any file
     g, report = load_graph_with_report(args.vertex_csv, args.edge_csv)
     if report.self_loops_dropped or report.duplicate_edges_dropped:
         print(
@@ -85,7 +91,7 @@ def _load_pipeline(args: argparse.Namespace):
             file=sys.stderr,
         )
     idx = build_inverted_index(g)
-    table = apply_policy(significance_table(g, idx), _policy(args))
+    table = apply_policy(significance_table(g, idx), policy)
     return g, idx, table
 
 

@@ -217,7 +217,7 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
         raise LoadError(f"vertex file {vertex_file} is empty")
     header = vlines[0].split(",")
     if len(header) < 2 or header[0] != "id":
-        raise LoadError(f"vertex file header must be 'id,<dim1>,...': got {vlines[0]!r}")
+        raise LoadError(f"vertex file {vertex_file}: header must be 'id,<dim1>,...': got {vlines[0]!r}")
     dims = tuple(header[1:])
     if len(set(dims)) != len(dims):
         raise LoadError(f"vertex file {vertex_file}: header repeats a dimension name: {vlines[0]!r}")
@@ -232,15 +232,15 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
         try:
             vid = int(label)
         except ValueError:
-            raise LoadError(f"row {label}: vertex id is not an integer") from None
+            raise LoadError(f"vertex file {vertex_file}: row {label}: vertex id is not an integer") from None
         if vid < 0:
-            raise LoadError(f"row {label}: vertex id must be non-negative")
+            raise LoadError(f"vertex file {vertex_file}: row {label}: vertex id must be non-negative")
         if len(parts) - 1 != n:
-            raise LoadError(f"row {label}: expected {n} attributes, got {len(parts) - 1}")
+            raise LoadError(f"vertex file {vertex_file}: row {label}: expected {n} attributes, got {len(parts) - 1}")
         if vid in vertices:
-            raise LoadError(f"row {label}: duplicate vertex id")
+            raise LoadError(f"vertex file {vertex_file}: row {label}: duplicate vertex id")
         if any(not p for p in parts[1:]):
-            raise LoadError(f"row {label}: empty attribute value")
+            raise LoadError(f"vertex file {vertex_file}: row {label}: empty attribute value")
         vertices[vid] = tuple(parts[1:])
 
     report = LoadReport()
@@ -251,13 +251,13 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise LoadError(f"edge line {lineno}: expected 'src,dst', got {line!r}")
+            raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
         try:
             u, w = int(parts[0]), int(parts[1])
         except ValueError:
-            raise LoadError(f"edge line {lineno}: non-integer endpoint in {line!r}") from None
+            raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
         if u not in vertices or w not in vertices:
-            raise LoadError(f"edge {u},{w}: references unknown vertex")
+            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex")
         if u == w:
             report.self_loops_dropped += 1
             continue

@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from array import array
 from collections import Counter
+from collections.abc import Callable, Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, combinations, repeat
-from operator import attrgetter, lt
+from itertools import chain, combinations, compress, count, repeat
+from operator import add, attrgetter, eq, lt, mul, ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -91,27 +93,231 @@ def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[Aggregate
     return nodes
 
 
-@dataclass
 class AggregateNetwork:
-    """Summary graph for one cuboid: nodes plus self/cross edge weights.
+    """Summary graph for one cuboid: its cells and the edge weights between them.
 
-    Nodes are in value-tuple order, and a cross-edge key puts the lower value
-    tuple first.
+    The weights are three columns. Row r says that ``weight[r]`` edges join
+    cells ``nodes[lo[r]]`` and ``nodes[hi[r]]``, with lo <= hi, and lo == hi
+    for the edges inside a cell; no two rows name the same pair. The engine
+    builds and reads networks with their nodes in value-tuple order.
+
+    ``self_edges`` ({values: weight}) and ``cross_edges`` ({(lower values,
+    higher values): weight}) are live views of the rows, keyed by value
+    tuples; writes through them change the rows. ``items()`` and ``==`` read
+    the columns in one pass; a single-key lookup scans them, so convert a view
+    with ``dict(view.items())`` before many lookups.
     """
 
-    signature: tuple[int, ...]
-    nodes: list[AggregateNode]
-    self_edges: dict[tuple[str, ...], int] = field(default_factory=dict)
-    cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = field(default_factory=dict)
+    __slots__ = ("signature", "nodes", "lo", "hi", "weight")
+
+    def __init__(
+        self,
+        signature: tuple[int, ...],
+        nodes: list[AggregateNode],
+        self_edges: Mapping[tuple[str, ...], int] | None = None,
+        cross_edges: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int] | None = None,
+    ) -> None:
+        """Numbers the cells once and turns the value-keyed weights into rows;
+        a cross edge given in both orientations is summed. ValueError if a key
+        names no cell or a cross-edge key names one cell twice."""
+        self.signature = signature
+        self.nodes = nodes
+        rows: dict[tuple[int, int], int] = {}
+        if self_edges or cross_edges:
+            number = {nd.values: i for i, nd in enumerate(nodes)}
+            try:
+                for values, w in (self_edges or {}).items():
+                    i = number[values]
+                    rows[i, i] = w
+                for (a, b), w in (cross_edges or {}).items():
+                    i, j = sorted((number[a], number[b]))
+                    if i == j:
+                        raise ValueError(f"cross-edge key {(a, b)!r} names one cell twice")
+                    rows[i, j] = rows.get((i, j), 0) + w
+            except KeyError as exc:
+                raise ValueError(f"edge weight names no cell: {exc.args[0]!r}") from None
+        self.lo = array("i", [i for i, _ in rows])
+        self.hi = array("i", [j for _, j in rows])
+        self.weight = array("q", rows.values())
+
+    @classmethod
+    def from_columns(
+        cls, signature: tuple[int, ...], nodes: list[AggregateNode], lo: array, hi: array, weight: array
+    ) -> AggregateNetwork:
+        """A network over rows already numbered by position in ``nodes``."""
+        net = cls.__new__(cls)
+        net.signature, net.nodes, net.lo, net.hi, net.weight = signature, nodes, lo, hi, weight
+        return net
+
+    @property
+    def self_edges(self) -> _SelfEdges:
+        return _SelfEdges(self)
+
+    @property
+    def cross_edges(self) -> _CrossEdges:
+        return _CrossEdges(self)
 
     def self_weight(self, values: tuple[str, ...]) -> int:
         return self.self_edges.get(values, 0)
 
     def cross_weight(self, a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        return self.cross_edges.get((a, b) if a < b else (b, a), 0)
+        return self.cross_edges.get((a, b), 0)
 
     def total_edge_weight(self) -> int:
-        return sum(self.self_edges.values()) + sum(self.cross_edges.values())
+        return sum(self.weight)
+
+    def _weights(self, mask: list[bool] | None = None) -> dict[int, int]:
+        """{lo * len(nodes) + hi: weight} over the rows ``mask`` selects, all by
+        default. Its keys are ints, so comparing two networks' rows builds no
+        tuple for the garbage collector to track."""
+        lo, hi, weight = self.lo, self.hi, self.weight
+        if mask is not None:
+            lo, hi, weight = compress(lo, mask), compress(hi, mask), compress(weight, mask)
+        return dict(zip(map(add, map(mul, lo, repeat(len(self.nodes))), hi), weight))
+
+    def __eq__(self, other: object) -> bool:
+        """Same signature, the same nodes in the same order, and the same rows
+        in any order."""
+        if not isinstance(other, AggregateNetwork):
+            return NotImplemented
+        return (
+            self.signature == other.signature
+            and self.nodes == other.nodes
+            and len(self.weight) == len(other.weight)
+            and self._weights() == other._weights()
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"AggregateNetwork(signature={self.signature!r}, nodes={self.nodes!r}, "
+            f"self_edges={dict(self.self_edges.items())!r}, cross_edges={dict(self.cross_edges.items())!r})"
+        )
+
+
+class _EdgeView(MutableMapping):
+    """The rows of one network inside cells (lo == hi) or between them, keyed
+    by value tuples. Holds no state but the network."""
+
+    __slots__ = ("_net",)
+    _inside: Callable[[int, int], bool]  # eq: rows inside a cell; ne: rows between cells
+
+    def __init__(self, net: AggregateNetwork) -> None:
+        self._net = net
+
+    def _mask(self) -> list[bool]:
+        """Per row, whether it belongs to this view."""
+        net = self._net
+        return list(map(self._inside, net.lo, net.hi))
+
+    def _cells(self, key) -> tuple[int, int]:
+        """The (lo, hi) cell numbers a key names; KeyError if it names none."""
+        raise NotImplementedError
+
+    def _number(self, values) -> int:
+        try:
+            return list(map(_values, self._net.nodes)).index(values)
+        except ValueError:
+            raise KeyError(values) from None
+
+    def _find(self, key) -> int | None:
+        """The row a key names, or None."""
+        i, j = self._cells(key)
+        net = self._net
+        hi = net.hi
+        for r in compress(count(), map(eq, net.lo, repeat(i))):
+            if hi[r] == j:
+                return r
+        return None
+
+    def __getitem__(self, key) -> int:
+        r = self._find(key)
+        if r is None:
+            raise KeyError(key)
+        return self._net.weight[r]
+
+    def __setitem__(self, key, weight: int) -> None:
+        r = self._find(key)
+        net = self._net
+        if r is None:
+            i, j = self._cells(key)
+            net.lo.append(i)
+            net.hi.append(j)
+            net.weight.append(weight)
+        else:
+            net.weight[r] = weight
+
+    def __delitem__(self, key) -> None:
+        r = self._find(key)
+        if r is None:
+            raise KeyError(key)
+        net = self._net
+        del net.lo[r], net.hi[r], net.weight[r]
+
+    def __len__(self) -> int:
+        net = self._net
+        return sum(map(self._inside, net.lo, net.hi))
+
+    def __eq__(self, other: object) -> bool:
+        """Views of the same kind over the same cells in the same order compare
+        their rows by cell number; anything else compares as a dict."""
+        if type(other) is type(self):
+            a, b = self._net, other._net  # type: ignore[attr-defined]
+            if list(map(_values, a.nodes)) == list(map(_values, b.nodes)):
+                return a._weights(self._mask()) == b._weights(other._mask())  # type: ignore[attr-defined]
+        return super().__eq__(other)
+
+    def __iter__(self) -> Iterator:
+        return (key for key, _ in self.items())
+
+    def values(self) -> list[int]:  # type: ignore[override]
+        return list(compress(self._net.weight, self._mask()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _SelfEdges(_EdgeView):
+    """{values: weight of the edges inside that cell}"""
+
+    __slots__ = ()
+    _inside = staticmethod(eq)
+
+    def _cells(self, key) -> tuple[int, int]:
+        i = self._number(key)
+        return i, i
+
+    def items(self) -> list[tuple[tuple[str, ...], int]]:  # type: ignore[override]
+        net, mask = self._net, self._mask()
+        values = list(map(_values, net.nodes))
+        return list(zip(map(values.__getitem__, compress(net.lo, mask)), compress(net.weight, mask)))
+
+
+class _CrossEdges(_EdgeView):
+    """{(lower values, higher values): weight of the edges between the two
+    cells}; a lookup takes the two value tuples in either order."""
+
+    __slots__ = ()
+    _inside = staticmethod(ne)
+
+    def _cells(self, key) -> tuple[int, int]:
+        try:
+            a, b = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        i, j = sorted((self._number(a), self._number(b)))
+        if i == j:
+            raise KeyError(key)
+        return i, j
+
+    def items(self) -> list[tuple[tuple[tuple[str, ...], tuple[str, ...]], int]]:  # type: ignore[override]
+        net, mask = self._net, self._mask()
+        values = list(map(_values, net.nodes))
+        pairs = zip(map(values.__getitem__, compress(net.lo, mask)), map(values.__getitem__, compress(net.hi, mask)))
+        if not all(map(lt, values, values[1:])):  # lo < hi need not mean lower values first
+            pairs = ((a, b) if a < b else (b, a) for a, b in pairs)
+        return list(zip(pairs, compress(net.weight, mask)))
 
 
 @dataclass
@@ -139,11 +345,12 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     (pruned away) contribute nothing. Zero-weight entries are omitted.
 
     Only the forward edges (u, w), u < w, of member vertices u are scanned:
-    cells are numbered in value-tuple order, each vertex position holds its
-    cell number (-1 for none), and the (cell of u, cell of w) pairs are
-    counted in one C-level pass before being decoded into value tuples.
+    cells are numbered by position in ``net.nodes``, each vertex position
+    holds its cell number (-1 for none), and the (cell of u, cell of w) pairs
+    are counted in one C-level pass. The counts of (i, j) and (j, i) are then
+    summed into the row (min, max); no value tuple is built.
     """
-    nodes = sorted(net.nodes, key=_values)
+    nodes = net.nodes
     pos, fwd = g.forward_adjacency()
     cell = [-1] * len(fwd)
     for c, node in enumerate(nodes):
@@ -157,23 +364,19 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
             map(cell.__getitem__, chain.from_iterable(u_fwd)),
         )
     )
-    values = list(map(_values, nodes))
-    self_edges: dict[tuple[str, ...], int] = {}
-    cross_edges: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    for (cu, cw), n in pairs.items():
-        if cw < 0:
-            continue
-        if cu == cw:
-            self_edges[values[cu]] = n
-        else:
-            # The lower cell number holds the lower value tuple.
-            key = (values[cu], values[cw]) if cu < cw else (values[cw], values[cu])
-            cross_edges[key] = cross_edges.get(key, 0) + n
-    return AggregateNetwork(
-        signature=net.signature,
-        nodes=net.nodes,
-        self_edges=self_edges,
-        cross_edges=cross_edges,
+    rows: dict[tuple[int, int], int] = {}
+    for key, n in pairs.items():
+        cu, cw = key
+        if cw >= 0:
+            if cu > cw:
+                key = (cw, cu)
+            rows[key] = rows.get(key, 0) + n
+    return AggregateNetwork.from_columns(
+        net.signature,
+        nodes,
+        array("i", [i for i, _ in rows]),
+        array("i", [j for _, j in rows]),
+        array("q", list(rows.values())),
     )
 
 
@@ -328,14 +531,31 @@ class _Fields(dict):
 
 def _render_cuboid(net: AggregateNetwork, fields: _Fields) -> str:
     """N records in value-tuple order, S and E records sorted as strings, and M
-    records in cell order."""
-    nodes = sorted(net.nodes, key=_values)
-    number = {nd.values: str(i) for i, nd in enumerate(nodes)}
+    records in cell order.
+
+    The engine's networks have their nodes in value-tuple order, so a row's
+    cell numbers are the file's; any other network is renumbered first.
+    """
+    if not all(map(lt, map(_values, net.nodes), map(_values, net.nodes[1:]))):
+        net = AggregateNetwork(
+            net.signature,
+            sorted(net.nodes, key=_values),
+            dict(net.self_edges.items()),
+            dict(net.cross_edges.items()),
+        )
+    nodes = net.nodes
+    names = list(map(str, range(len(nodes))))
     field = fields.__getitem__
     lines = ["\t".join(("N", *map(field, nd.values), str(len(nd.members)))) for nd in nodes]
-    lines += sorted([f"S\t{number[k]}\t{w}" for k, w in net.self_edges.items()])
-    lines += sorted([f"E\t{number[a]}\t{number[b]}\t{w}" for (a, b), w in net.cross_edges.items()])
-    lines += [f"M\t{i}\t{','.join(map(str, nd.members))}" for i, nd in enumerate(nodes)]
+    s_lines, e_lines = [], []
+    for i, j, w in zip(net.lo, net.hi, net.weight):
+        if i == j:
+            s_lines.append(f"S\t{names[i]}\t{w}")
+        else:
+            e_lines.append(f"E\t{names[i]}\t{names[j]}\t{w}")
+    lines += sorted(s_lines)
+    lines += sorted(e_lines)
+    lines += [f"M\t{names[i]}\t{','.join(map(str, nd.members))}" for i, nd in enumerate(nodes)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -533,25 +753,26 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
         values = list(zip(*value_columns))
         (s_cells, s_weights), (e_low, e_high, e_weights), (m_cells, m_lists) = columns[1:]
         ints, lists = _integers(counts + s_weights + e_weights, m_lists)
-        n, s = len(values), len(s_weights)
-        counts, s_weights, e_weights = ints[:n], ints[n : n + s], ints[n + s :]
+        n = len(values)
+        counts = ints[:n]
         # Cell numbers as the writer writes them; any other field raises KeyError.
         numbers = list(map(str, range(n)))
-        cells = dict(zip(numbers, values))
+        cells = dict(zip(numbers, range(n)))
         cell = cells.__getitem__
-        self_edges = dict(zip(map(cell, s_cells), s_weights))
-        low, high = list(map(cell, e_low)), list(map(cell, e_high))
-        # Value tuples strictly ascend, so cells are distinct and an E record's
-        # lower cell has the lower tuple.
-        if not all(map(lt, values, values[1:])) or not all(map(lt, low, high)):
+        s_lo = list(map(cell, s_cells))
+        e_lo, e_hi = list(map(cell, e_low)), list(map(cell, e_high))
+        # Value tuples strictly ascend, so cells are distinct and the lower
+        # cell of an E record has the lower tuple.
+        if not all(map(lt, values, values[1:])) or not all(map(lt, e_lo, e_hi)):
             raise ValueError
-        cross_edges = dict(zip(zip(low, high), e_weights))
         members = dict(zip(m_cells, lists))
-        if (len(self_edges), len(cross_edges), len(members)) != (len(s_cells), len(e_low), len(m_cells)):
+        if (len(set(s_cells)), len(set(zip(e_low, e_high))), len(members)) != (len(s_cells), len(e_low), len(m_cells)):
             raise ValueError  # a repeated record
         if not members.keys() <= cells.keys():
             raise ValueError  # an M record that names no N record
-    except (ValueError, KeyError):
+        lo, hi = array("i", s_lo + e_lo), array("i", s_lo + e_hi)
+        weight = array("q", ints[n:])  # S weights, then E weights
+    except (ValueError, KeyError, OverflowError):
         raise _first_bad_line(text, name, len(signature)) from None
     ordered = list(map(members.get, numbers))
     if None in ordered:
@@ -560,7 +781,7 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
         i = next(i for i, m in enumerate(ordered) if len(m) != counts[i])
         raise CubeFormatError(f"{name}: member list of cell {i} {values[i]!r} does not match its count")
     nodes = list(map(AggregateNode, repeat(signature), values, ordered))
-    return AggregateNetwork(signature=signature, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
+    return AggregateNetwork.from_columns(signature, nodes, lo, hi, weight)
 
 
 def _first_bad_line(text: str, name: str, level: int) -> CubeFormatError:
@@ -589,8 +810,8 @@ def _first_bad_line(text: str, name: str, level: int) -> CubeFormatError:
                 raise ValueError(f"{len(parts)} fields, not {width[kind]}")
             if kind == "M":
                 _integers([], parts[2:])
-            else:
-                _integers(parts[-1:], [])
+            elif not -(2**63) <= _integers(parts[-1:], [])[0][0] < 2**63:
+                raise ValueError("number out of the 64-bit range")
             if kind == "N":
                 values = tuple(map(_unescape, parts[1:-1]))
                 if last is not None and not last < values:

@@ -170,14 +170,19 @@ def compare(a: GraphCube, b: GraphCube) -> CubeDiff:
                 diff.member_mismatches.append(
                     (sig, "|".join(values), f"members {list(ma)} != {list(mb)}")
                 )
-        for key in sorted(net_a.self_edges.keys() | net_b.self_edges.keys()):
-            wa = net_a.self_edges.get(key, 0)
-            wb = net_b.self_edges.get(key, 0)
+        if net_a.self_edges == net_b.self_edges and net_a.cross_edges == net_b.cross_edges:
+            continue  # no weight differs; views over the same cells compare by cell number
+        # One dict per view: a view's own lookups scan its rows.
+        self_a, self_b = dict(net_a.self_edges.items()), dict(net_b.self_edges.items())
+        for key in sorted(self_a.keys() | self_b.keys()):
+            wa = self_a.get(key, 0)
+            wb = self_b.get(key, 0)
             if wa != wb:
                 diff.weight_mismatches.append((sig, "|".join(key), f"self {wa} != {wb}"))
-        for pair in sorted(net_a.cross_edges.keys() | net_b.cross_edges.keys()):
-            wa = net_a.cross_edges.get(pair, 0)
-            wb = net_b.cross_edges.get(pair, 0)
+        cross_a, cross_b = dict(net_a.cross_edges.items()), dict(net_b.cross_edges.items())
+        for pair in sorted(cross_a.keys() | cross_b.keys()):
+            wa = cross_a.get(pair, 0)
+            wb = cross_b.get(pair, 0)
             if wa != wb:
                 label = "|".join(pair[0]) + "--" + "|".join(pair[1])
                 diff.weight_mismatches.append((sig, label, f"cross {wa} != {wb}"))

@@ -61,6 +61,11 @@ class TestSs:
         assert "min_support must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_min_support_default_under_support(self, tmp_path, g0_files):
+        out = tmp_path / "ss.csv"
+        assert run("ss", *g0_files, "--out", out, "--policy", "support") == 0
+        assert all(line.endswith("true") for line in out.read_text().splitlines()[1:])
+
     def test_repeated_dimension_name(self, tmp_path, capsys):
         (tmp_path / "v.csv").write_text("id,a,a\n1,x,y\n")
         (tmp_path / "e.csv").write_text("")
@@ -71,13 +76,6 @@ class TestSs:
         code = run("ss", g0_files[0], tmp_path / "nope.csv", "--out", tmp_path / "ss.csv")
         assert code == 2
         assert "error" in capsys.readouterr().err
-
-    def test_vertex_file_not_utf8(self, tmp_path, g0_files, capsys):
-        with open(g0_files[0], "ab") as f:
-            f.write(b"7,\xff,NY\n")
-        code = run("ss", *g0_files, "--out", tmp_path / "ss.csv")
-        assert code == 2
-        assert "is not UTF-8" in capsys.readouterr().err
 
 
 class TestCube:
@@ -172,14 +170,6 @@ class TestQuery:
         assert captured.out == ""
         assert "0.tsv line 3" in captured.err
 
-    def test_cuboid_not_utf8(self, cube_dir, capsys):
-        with (cube_dir / "0.tsv").open("ab") as f:
-            f.write(b"\xff\n")
-        assert run("query", cube_dir, "--dims", "Gender") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error:" in captured.err
-
     def test_unknown_dimension(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Bogus") == 3
         assert "unknown dimension Bogus" in capsys.readouterr().err
@@ -216,11 +206,15 @@ class TestQuery:
     ids=["ss-vertex-csv", "cube-edge-csv", "query-cuboid", "query-meta"],
 )
 def test_file_not_utf8_is_input_error(tmp_path, g0_files, command, target, capsys):
-    """Every file the CLI reads is decoded through a check that names the file."""
+    """Every file the CLI reads is decoded through a check that names the file.
+    The bad byte sits inside a well-formed record: a vertex row, an edge line,
+    an N record, a meta line."""
     cube_dir = tmp_path / "cube"
     assert run("cube", *g0_files, cube_dir, "--policy", "none") == 0
+    record = {"vertices.csv": b"7,\xff,NY\n", "edges.csv": b"1,\xff\n", "0.tsv": b"N\t\xff\t1\n",
+              "meta": b"policy,\xff\n"}[target]
     with (tmp_path / target if target.endswith(".csv") else cube_dir / target).open("ab") as f:
-        f.write(b"\xff\n")
+        f.write(record)
     capsys.readouterr()
     args = {
         "ss": ("ss", *g0_files, "--out", tmp_path / "ss.csv"),
@@ -231,6 +225,19 @@ def test_file_not_utf8_is_input_error(tmp_path, g0_files, command, target, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(rf"{re.escape(target)}: byte \d+ is not UTF-8", captured.err)
+
+
+@pytest.mark.parametrize("command", ["ss", "cube"])
+@pytest.mark.parametrize("policy", [None, "ss-mean", "none"])
+def test_min_support_needs_support_policy(tmp_path, g0_files, command, policy, capsys):
+    """--min-support does nothing under another policy, so it is refused
+    before any file is read or written."""
+    out = tmp_path / "out"
+    args = {"ss": ("ss", *g0_files, "--out", out), "cube": ("cube", *g0_files, out)}[command]
+    policy_args = () if policy is None else ("--policy", policy)
+    assert run(*args, *policy_args, "--min-support", 3) == 1
+    assert "--min-support applies only to --policy support" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_is_not_a_subcommand():

@@ -69,6 +69,29 @@ class TestLoadGraph:
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
         assert g1.fingerprint() == g0.fingerprint()
 
+    @pytest.mark.parametrize(
+        "vertices, edges, bad",
+        [
+            ("vid,D\n1,x\n", "", "v"),
+            ("id,D\nx,a\n", "", "v"),
+            ("id,D\n-1,a\n", "", "v"),
+            ("id,D\n1,a,b\n", "", "v"),
+            ("id,D\n1,a\n1,b\n", "", "v"),
+            ("id,D\n1,\n", "", "v"),
+            ("id,D\n1,a\n2,b\n", "1,2,3\n", "e"),
+            ("id,D\n1,a\n2,b\n", "1,x\n", "e"),
+            ("id,D\n1,a\n2,b\n", "1,2\n1,9\n", "e"),
+        ],
+        ids=["header", "id-not-integer", "negative-id", "ragged-row", "duplicate-id", "empty-value",
+             "edge-fields", "edge-endpoint", "unknown-vertex"],
+    )
+    def test_error_names_its_file(self, tmp_path, vertices, edges, bad):
+        (tmp_path / "v.csv").write_text(vertices)
+        (tmp_path / "e.csv").write_text(edges)
+        with pytest.raises(LoadError) as info:
+            load_graph(tmp_path / "v.csv", tmp_path / "e.csv")
+        assert str(info.value).startswith(("vertex" if bad == "v" else "edge") + f" file {tmp_path / bad}.csv: ")
+
     @pytest.mark.parametrize("which", ["vertex", "edge"])
     def test_not_utf8(self, tmp_path, which):
         (tmp_path / "v.csv").write_text("id,D\n1,x\n2,y\n")

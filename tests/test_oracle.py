@@ -1,6 +1,7 @@
 import pytest
 
 from graphcube import (
+    AggregateNetwork,
     GenParams,
     MultidimGraph,
     ParameterError,
@@ -81,7 +82,15 @@ class TestCompare:
     def test_missing_vs_extra_distinct(self, g0):
         a = oracle_cube(g0)
         b = oracle_cube(g0)
-        dropped = b.cuboids[(0,)].nodes.pop()
+        # Rebuild cuboid (0,) without its last node and the weights that name it.
+        net = b.cuboids[(0,)]
+        dropped = net.nodes[-1]
+        b.cuboids[(0,)] = AggregateNetwork(
+            net.signature,
+            net.nodes[:-1],
+            self_edges={k: w for k, w in net.self_edges.items() if k != dropped.values},
+            cross_edges={k: w for k, w in net.cross_edges.items() if dropped.values not in k},
+        )
         diff = compare(a, b)
         assert any(label == dropped.label for _, label, _ in diff.missing_nodes)
         assert not diff.extra_nodes
