@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Iterable, Iterator, Set
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import LoadError, ParameterError, UnknownVertexError
@@ -31,31 +33,110 @@ __all__ = [
 ]
 
 
-@dataclass
+class EdgeView(Set):
+    """The edges of a graph as a read-only set of (lower id, higher id) pairs.
+
+    A view over the graph's forward adjacency; it holds no pairs of its own.
+    Iteration yields each edge once, in ascending order, and membership is a
+    binary search in the lower endpoint's forward row, so a reversed pair
+    or a key that is not a pair is not a member. Compares equal to any set of
+    the same pairs, frozensets included, and set operations such as
+    ``g.edges - {e}`` return frozensets.
+    """
+
+    __slots__ = ("_pos", "_ids", "_fwd", "_len")
+
+    def __init__(self, pos: dict[int, int], ids: list[int], fwd: list[tuple[int, ...]], count: int) -> None:
+        self._pos, self._ids, self._fwd, self._len = pos, ids, fwd, count
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        ids, fwd = self._ids, self._fwd
+        return zip(
+            chain.from_iterable(map(repeat, ids, map(len, fwd))),
+            map(ids.__getitem__, chain.from_iterable(fwd)),
+        )
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, tuple) or len(edge) != 2:
+            return False
+        p, q = map(self._pos.get, edge)
+        if p is None or q is None or p >= q:
+            return False
+        targets = self._fwd[p]
+        i = bisect_left(targets, q)
+        return i < len(targets) and targets[i] == q
+
+    def __repr__(self) -> str:
+        return f"EdgeView({list(self)!r})"
+
+
+def _positions(vertices: dict[int, tuple[str, ...]]) -> dict[int, int]:
+    """Vertex id -> position, numbering the vertices in ascending id order."""
+    return {v: i for i, v in enumerate(sorted(vertices))}
+
+
+def _rows(codes: list[int], ints: list[int]) -> list[tuple[int, ...]]:
+    """Split ascending codes ``row * n + column`` into n tuples of columns,
+    n = len(ints). Column c is the object ints[c], so every row holding c
+    shares one int."""
+    n = len(ints)
+    columns = list(map(ints.__getitem__, [c % n for c in codes]))
+    bounds = [bisect_left(codes, row * n) for row in range(n + 1)]
+    return list(map(tuple, map(columns.__getitem__, map(slice, bounds, bounds[1:]))))
+
+
 class MultidimGraph:
     """Undirected simple graph with one attribute value per dimension per vertex.
 
     ``dims`` fixes the canonical dimension order used for cuboid signatures.
-    ``edges`` holds unordered pairs normalized to (min, max). Instances are
-    treated as immutable after construction.
+    The constructor takes the edges as pairs normalized to (min, max). The
+    graph stores them once, as rows over vertex positions (0..|V|-1 in
+    ascending id order): per position, a tuple of the ascending positions of
+    its higher-id neighbors (the forward adjacency) and one of its lower-id
+    ones. All rows share one int object per position, so a row costs a
+    pointer per neighbor, and iterating it boxes nothing (an ``array`` row
+    would box every element it yields, on the edge-counting hot path).
+    ``edges`` is a read-only set view over the forward rows. Instances are
+    treated as immutable after construction; two graphs are equal when their
+    dims, vertices and edges are.
     """
 
-    dims: tuple[str, ...]
-    vertices: dict[int, tuple[str, ...]]
-    edges: frozenset[tuple[int, int]]
-    _adj: dict[int, frozenset[int]] = field(init=False, repr=False)
-    _forward: tuple[dict[int, int], list[tuple[int, ...]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _triangles: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, dims: tuple[str, ...], vertices: dict[int, tuple[str, ...]], edges: Iterable[tuple[int, int]]
+    ) -> None:
+        self.dims = dims
+        self.vertices = vertices
         self._validate()
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        pos = _positions(vertices)
+        n = len(pos)
+        codes = set()
+        for u, w in edges:
+            if u == w:
+                raise ParameterError(f"self-loop on vertex {u}")
+            if u > w:
+                raise ParameterError(f"edge ({u},{w}) not normalized")
+            if u not in pos or w not in pos:
+                raise ParameterError(f"edge ({u},{w}) references unknown vertex")
+            codes.add(pos[u] * n + pos[w])
+        self._link(pos, sorted(codes))
+
+    @classmethod
+    def _from_codes(
+        cls, dims: tuple[str, ...], vertices: dict[int, tuple[str, ...]], pos: dict[int, int], codes: list[int]
+    ) -> MultidimGraph:
+        """A graph from checked vertices, their ``_positions`` and the ascending,
+        distinct codes ``p * |V| + q`` of its edges, positions p < q."""
+        g = cls.__new__(cls)
+        g.dims, g.vertices = dims, vertices
+        g._link(pos, codes)
+        return g
 
     def _validate(self) -> None:
         if len(set(self.dims)) != len(self.dims):
@@ -68,13 +149,29 @@ class MultidimGraph:
                 )
             if any(not a for a in attrs):
                 raise ParameterError(f"vertex {vid}: empty attribute value")
-        for u, w in self.edges:
-            if u == w:
-                raise ParameterError(f"self-loop on vertex {u}")
-            if u > w:
-                raise ParameterError(f"edge ({u},{w}) not normalized")
-            if u not in self.vertices or w not in self.vertices:
-                raise ParameterError(f"edge ({u},{w}) references unknown vertex")
+
+    def _link(self, pos: dict[int, int], codes: list[int]) -> None:
+        n = len(pos)
+        positions = list(pos.values())
+        self._pos = pos
+        self._ids = list(pos)
+        self._attrs = list(map(self.vertices.__getitem__, self._ids))
+        self._fwd = _rows(codes, positions)
+        self._bwd = _rows(sorted([c % n * n + c // n for c in codes]), positions)
+        self._edges = EdgeView(pos, self._ids, self._fwd, len(codes))
+        self._triangles: dict[int, int] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultidimGraph):
+            return NotImplemented
+        return self.dims == other.dims and self.vertices == other.vertices and self._fwd == other._fwd
+
+    def __repr__(self) -> str:
+        return f"MultidimGraph(dims={self.dims!r}, vertices={self.vertices!r}, edges={self.edges!r})"
+
+    @property
+    def edges(self) -> EdgeView:
+        return self._edges
 
     @property
     def dim_count(self) -> int:
@@ -83,23 +180,29 @@ class MultidimGraph:
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); never contains v itself."""
         try:
-            return self._adj[v]
+            p = self._pos[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
+        return frozenset(map(self._ids.__getitem__, chain(self._bwd[p], self._fwd[p])))
+
+    def neighbor_attributes(self, v: int) -> list[tuple[str, ...]]:
+        """The attribute tuple of each neighbor of v, one per neighbor; cheaper
+        than ``neighbors(v)``, which builds a frozenset."""
+        try:
+            p = self._pos[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex id {v}") from None
+        return list(map(self._attrs.__getitem__, chain(self._bwd[p], self._fwd[p])))
 
     def forward_adjacency(self) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-        """Vertex positions and, per position, the positions of higher-id neighbors.
+        """Vertex positions and, per position, the ascending positions of its
+        higher-id neighbors.
 
         Positions number the vertices 0..|V|-1 in ascending id order, so each
-        edge appears exactly once, under its lower endpoint. Built on the first
-        call and kept; it takes no part in equality.
+        edge appears exactly once, under its lower endpoint. This is the
+        graph's own storage: callers must not modify it.
         """
-        if self._forward is None:
-            order = sorted(self.vertices)
-            pos = {v: i for i, v in enumerate(order)}
-            fwd = [tuple(pos[w] for w in self._adj[v] if w > v) for v in order]
-            self._forward = (pos, fwd)
-        return self._forward
+        return self._pos, self._fwd
 
     def triangle_counts(self) -> dict[int, int]:
         """Per vertex, the number of triangles through it: the links among its
@@ -107,31 +210,29 @@ class MultidimGraph:
 
         Every triangle u < w < x is listed once, from its lowest edge, as x in
         F(u) & F(w), where F(v) holds the neighbors above v (forward
-        adjacency, Schank and Wagner 2005). Built on the first call and kept;
-        it takes no part in equality.
+        adjacency, Schank and Wagner 2005). The third corners x of each u are
+        counted before the next u. Built on the first call and kept; it takes
+        no part in equality.
         """
         if self._triangles is None:
-            pos, fwd = self.forward_adjacency()
+            fwd = self._fwd
             fsets = list(map(frozenset, fwd))
             counts = [0] * len(fwd)
-            thirds = []
+            thirds: Counter[int] = Counter()
             for u, fu in enumerate(fsets):
-                for w in fu:
+                commons = []
+                for w in fwd[u]:
                     common = fu & fsets[w]
                     if common:
                         n = len(common)
                         counts[u] += n
                         counts[w] += n
-                        thirds.append(common)
-            for x, n in Counter(chain.from_iterable(thirds)).items():
+                        commons.append(common)
+                thirds.update(chain.from_iterable(commons))
+            for x, n in thirds.items():
                 counts[x] += n
-            self._triangles = dict(zip(pos, counts))
+            self._triangles = dict(zip(self._ids, counts))
         return self._triangles
-
-    def has_edge(self, u: int, w: int) -> bool:
-        if u == w:
-            return False
-        return ((u, w) if u < w else (w, u)) in self.edges
 
     def attributes(self, v: int) -> tuple[str, ...]:
         try:
@@ -148,9 +249,8 @@ class MultidimGraph:
         a separator, and distinct graphs serialize differently. The document is
         ASCII: other characters, lone surrogates included, are escaped.
         """
-        _, fwd = self.forward_adjacency()
         vertices = self.vertices
-        doc = [self.dims, [(vid, *vertices[vid]) for vid in sorted(vertices)], list(map(sorted, fwd))]
+        doc = [self.dims, [(vid, *vertices[vid]) for vid in self._ids], self._fwd]
         return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
@@ -198,21 +298,84 @@ class GenParams:
         return int(round(self.hub_fraction * self.vertex_count))
 
 
-def _read_lines(path: Path, kind: str) -> list[str]:
-    """The lines of a UTF-8 input file; LoadError if it cannot be read or decoded."""
+def _read_text(path: Path, kind: str) -> str:
+    """The text of a UTF-8 input file; LoadError if it cannot be read or decoded."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LoadError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise LoadError(f"{kind} file {path}: byte {exc.start} is not UTF-8") from None
 
 
+def _edge_codes(text: str, pos: dict[int, int]) -> tuple[list[int], int, int] | None:
+    """Parse an edge file in one JSON pass: ascending distinct edge codes
+    ``p * |V| + q`` (positions p < q), self-loops dropped and duplicates dropped.
+
+    Takes only files whose every line is ``<digits>,<digits>``, and only JSON
+    integers (no leading zeros) naming known vertices; it returns None for any
+    other file, which the line parser then reads.
+    """
+    n = len(pos)
+    body = text[:-1] if text.endswith("\n") else text
+    if not body:
+        return [], 0, 0
+    # Every line holds exactly one comma, and nothing but digits besides.
+    if not body.isascii() or body.encode().translate(None, b"0123456789") != b",\n" * body.count("\n") + b",":
+        return None
+    try:
+        ends = json.loads("[" + body.replace("\n", ",") + "]")  # an empty field fails here
+        us = list(map(pos.__getitem__, ends[0::2]))
+        ws = list(map(pos.__getitem__, ends[1::2]))
+    except (ValueError, KeyError):
+        return None
+    del ends
+    codes = [u * n + w if u < w else w * n + u for u, w in zip(us, ws) if u != w]
+    loops = len(us) - len(codes)
+    del us, ws
+    unique = sorted(set(codes))
+    return unique, loops, len(codes) - len(unique)
+
+
+def _edge_codes_by_line(text: str, pos: dict[int, int], edge_file: Path) -> tuple[list[int], int, int]:
+    """The edge file one line at a time, as ``_edge_codes`` returns it; raises
+    LoadError naming the first line it refuses. Blank lines are skipped and
+    endpoints are read by int()."""
+    n = len(pos)
+    codes: set[int] = set()
+    loops = duplicates = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
+        try:
+            u, w = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
+        if u not in pos or w not in pos:
+            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex")
+        if u == w:
+            loops += 1
+            continue
+        p, q = sorted((pos[u], pos[w]))
+        if p * n + q in codes:
+            duplicates += 1
+        else:
+            codes.add(p * n + q)
+    return sorted(codes), loops, duplicates
+
+
 def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tuple[MultidimGraph, LoadReport]:
-    """Load a graph from the vertex/edge CSV pair, reporting dropped input."""
+    """Load a graph from the vertex/edge CSV pair, reporting dropped input.
+
+    The edge file is read in one pass when it allows (``_edge_codes``); any
+    other edge file is read line by line, which also names the line of any
+    error."""
     vertex_file = Path(vertex_file)
     edge_file = Path(edge_file)
-    vlines = _read_lines(vertex_file, "vertex")
+    vlines = _read_text(vertex_file, "vertex").splitlines()
     if not vlines:
         raise LoadError(f"vertex file {vertex_file} is empty")
     header = vlines[0].split(",")
@@ -243,31 +406,11 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
             raise LoadError(f"vertex file {vertex_file}: row {label}: empty attribute value")
         vertices[vid] = tuple(parts[1:])
 
-    report = LoadReport()
-    edges: set[tuple[int, int]] = set()
-    elines = _read_lines(edge_file, "edge")
-    for lineno, line in enumerate(elines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
-        try:
-            u, w = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
-        if u not in vertices or w not in vertices:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex")
-        if u == w:
-            report.self_loops_dropped += 1
-            continue
-        e = (u, w) if u < w else (w, u)
-        if e in edges:
-            report.duplicate_edges_dropped += 1
-        else:
-            edges.add(e)
-
-    return MultidimGraph(dims=dims, vertices=vertices, edges=frozenset(edges)), report
+    pos = _positions(vertices)
+    text = _read_text(edge_file, "edge")
+    codes, loops, duplicates = _edge_codes(text, pos) or _edge_codes_by_line(text, pos, edge_file)
+    report = LoadReport(self_loops_dropped=loops, duplicate_edges_dropped=duplicates)
+    return MultidimGraph._from_codes(dims, vertices, pos, codes), report
 
 
 def load_graph(vertex_file: str | Path, edge_file: str | Path) -> MultidimGraph:
@@ -281,7 +424,7 @@ def write_graph(g: MultidimGraph, vertex_file: str | Path, edge_file: str | Path
     for vid in sorted(g.vertices):
         vlines.append(f"{vid}," + ",".join(g.vertices[vid]))
     Path(vertex_file).write_text("\n".join(vlines) + "\n", encoding="utf-8")
-    elines = [f"{u},{w}" for u, w in sorted(g.edges)]
+    elines = [f"{u},{w}" for u, w in g.edges]  # in ascending order
     Path(edge_file).write_text("\n".join(elines) + ("\n" if elines else ""), encoding="utf-8")
 
 
@@ -328,4 +471,4 @@ def generate_synthetic(p: GenParams) -> MultidimGraph:
             continue
         edges.add((u, w) if u < w else (w, u))
 
-    return MultidimGraph(dims=dims, vertices=vertices, edges=frozenset(edges))
+    return MultidimGraph(dims=dims, vertices=vertices, edges=edges)

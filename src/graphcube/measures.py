@@ -66,15 +66,15 @@ class PrunePolicy:
             raise ParameterError("min_support must be >= 1")
 
 
-def _cc_and_density(g: MultidimGraph, v: int) -> tuple[float, float]:
-    """Clustering coefficient and closed-neighborhood density from one count.
+def _cc_and_density(g: MultidimGraph, v: int, d: int) -> tuple[float, float]:
+    """Clustering coefficient and closed-neighborhood density of v, of degree
+    d, from one count.
 
     The links inside the closed neighborhood are the links among the
     neighbors plus v's own d edges, so one count of the former gives both.
     That count is the number of triangles through v, which the graph lists
     for all its vertices at once on the first call.
     """
-    d = len(g.neighbors(v))
     if d == 0:
         return 0.0, 0.0
     links = g.triangle_counts()[v]
@@ -84,28 +84,34 @@ def _cc_and_density(g: MultidimGraph, v: int) -> tuple[float, float]:
 
 def clustering_coefficient(g: MultidimGraph, v: int) -> float:
     """Fraction of neighbor pairs of v that are adjacent; 0 when deg(v) < 2."""
-    return _cc_and_density(g, v)[0]
+    return _cc_and_density(g, v, len(g.neighbors(v)))[0]
 
 
 def local_density(g: MultidimGraph, v: int) -> float:
     """Edge density of the induced subgraph on the closed neighborhood of v."""
-    return _cc_and_density(g, v)[1]
+    return _cc_and_density(g, v, len(g.neighbors(v)))[1]
+
+
+def _diversity(g: MultidimGraph, rows: list[tuple[str, ...]]) -> float:
+    """Mean over dimensions of distinct values / len(rows), for the attribute
+    tuples of a vertex's neighbors."""
+    if not rows:
+        return 0.0
+    total = 0.0
+    for column in zip(*rows):
+        total += len(set(column)) / len(rows)
+    return total / g.dim_count
 
 
 def attribute_diversity(g: MultidimGraph, v: int) -> float:
     """Mean over dimensions of (distinct neighbor values / neighbor count)."""
-    nbrs = g.neighbors(v)
-    if not nbrs:
-        return 0.0
-    total = 0.0
-    for column in zip(*map(g.vertices.__getitem__, nbrs)):
-        total += len(set(column)) / len(nbrs)
-    return total / g.dim_count
+    return _diversity(g, g.neighbor_attributes(v))
 
 
 def vertex_score(g: MultidimGraph, v: int) -> VertexScore:
-    alpha = attribute_diversity(g, v)
-    cc, density = _cc_and_density(g, v)
+    rows = g.neighbor_attributes(v)
+    alpha = _diversity(g, rows)
+    cc, density = _cc_and_density(g, v, len(rows))
     return VertexScore(alpha=alpha, cc=cc, density=density, score=alpha * cc + density)
 
 

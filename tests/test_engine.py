@@ -389,7 +389,7 @@ def test_aggregate_edges_matches_edge_loop_property(case):
     net = aggregate_edges(g, AggregateNetwork(signature=(0, 1), nodes=nodes))
     assert (net.self_edges, net.cross_edges) == edge_loop(g, nodes)
     assert net.nodes == nodes
-    assert g == g2  # the forward adjacency built by aggregate_edges takes no part in equality
+    assert g == g2  # aggregate_edges leaves the graph as it was
 
 
 class TestEdgeColumns:
@@ -482,7 +482,6 @@ class TestEdgeColumns:
         )
         idx = build_inverted_index(g)
         table = apply_policy(significance_table(g, idx), PrunePolicy(kind="none"))
-        g.forward_adjacency()  # built once per graph; not part of the cube
         tracemalloc.start()
         try:
             cube = compute_cube(g, idx, table)
