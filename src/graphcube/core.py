@@ -155,7 +155,6 @@ class MultidimGraph:
         positions = list(pos.values())
         self._pos = pos
         self._ids = list(pos)
-        self._attrs = list(map(self.vertices.__getitem__, self._ids))
         self._fwd = _rows(codes, positions)
         self._bwd = _rows(sorted([c % n * n + c // n for c in codes]), positions)
         self._edges = EdgeView(pos, self._ids, self._fwd, len(codes))
@@ -185,14 +184,22 @@ class MultidimGraph:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
         return frozenset(map(self._ids.__getitem__, chain(self._bwd[p], self._fwd[p])))
 
-    def neighbor_attributes(self, v: int) -> list[tuple[str, ...]]:
+    def degree(self, v: int) -> int:
+        try:
+            p = self._pos[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex id {v}") from None
+        return len(self._bwd[p]) + len(self._fwd[p])
+
+    def _neighbor_attributes(self, v: int) -> list[tuple[str, ...]]:
         """The attribute tuple of each neighbor of v, one per neighbor; cheaper
         than ``neighbors(v)``, which builds a frozenset."""
         try:
             p = self._pos[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
-        return list(map(self._attrs.__getitem__, chain(self._bwd[p], self._fwd[p])))
+        ids = chain(self._bwd[p], self._fwd[p])
+        return list(map(self.vertices.__getitem__, map(self._ids.__getitem__, ids)))
 
     def forward_adjacency(self) -> tuple[dict[int, int], list[tuple[int, ...]]]:
         """Vertex positions and, per position, the ascending positions of its
@@ -308,71 +315,42 @@ def _read_text(path: Path, kind: str) -> str:
         raise LoadError(f"{kind} file {path}: byte {exc.start} is not UTF-8") from None
 
 
-def _edge_codes(text: str, pos: dict[int, int]) -> tuple[list[int], int, int] | None:
-    """Parse an edge file in one JSON pass: ascending distinct edge codes
-    ``p * |V| + q`` (positions p < q), self-loops dropped and duplicates dropped.
-
-    Takes only files whose every line is ``<digits>,<digits>``, and only JSON
-    integers (no leading zeros) naming known vertices; it returns None for any
-    other file, which the line parser then reads.
-    """
-    n = len(pos)
-    body = text[:-1] if text.endswith("\n") else text
-    if not body:
-        return [], 0, 0
-    # Every line holds exactly one comma, and nothing but digits besides.
-    if not body.isascii() or body.encode().translate(None, b"0123456789") != b",\n" * body.count("\n") + b",":
-        return None
-    try:
-        ends = json.loads("[" + body.replace("\n", ",") + "]")  # an empty field fails here
-        us = list(map(pos.__getitem__, ends[0::2]))
-        ws = list(map(pos.__getitem__, ends[1::2]))
-    except (ValueError, KeyError):
-        return None
-    del ends
-    codes = [u * n + w if u < w else w * n + u for u, w in zip(us, ws) if u != w]
-    loops = len(us) - len(codes)
-    del us, ws
-    unique = sorted(set(codes))
-    return unique, loops, len(codes) - len(unique)
-
-
-def _edge_codes_by_line(text: str, pos: dict[int, int], edge_file: Path) -> tuple[list[int], int, int]:
-    """The edge file one line at a time, as ``_edge_codes`` returns it; raises
-    LoadError naming the first line it refuses. Blank lines are skipped and
-    endpoints are read by int()."""
+def _edge_codes(text: str, pos: dict[int, int], edge_file: Path) -> tuple[list[int], int, int]:
+    """Parse an edge file: the ascending distinct edge codes ``p * |V| + q``
+    (positions p < q), the number of self-loops dropped and the number of
+    duplicates dropped. Blank lines are skipped and endpoints are read by
+    int(); raises LoadError naming the first line it refuses. No tuple is
+    kept per edge."""
     n = len(pos)
     codes: set[int] = set()
     loops = duplicates = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         parts = line.split(",")
         if len(parts) != 2:
+            if not line.strip():
+                continue
             raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
         try:
             u, w = int(parts[0]), int(parts[1])
         except ValueError:
             raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
-        if u not in pos or w not in pos:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex")
-        if u == w:
+        try:
+            p, q = pos[u], pos[w]
+        except KeyError:
+            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex") from None
+        if p == q:
             loops += 1
             continue
-        p, q = sorted((pos[u], pos[w]))
-        if p * n + q in codes:
+        code = p * n + q if p < q else q * n + p
+        if code in codes:
             duplicates += 1
         else:
-            codes.add(p * n + q)
+            codes.add(code)
     return sorted(codes), loops, duplicates
 
 
 def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tuple[MultidimGraph, LoadReport]:
-    """Load a graph from the vertex/edge CSV pair, reporting dropped input.
-
-    The edge file is read in one pass when it allows (``_edge_codes``); any
-    other edge file is read line by line, which also names the line of any
-    error."""
+    """Load a graph from the vertex/edge CSV pair, reporting dropped input."""
     vertex_file = Path(vertex_file)
     edge_file = Path(edge_file)
     vlines = _read_text(vertex_file, "vertex").splitlines()
@@ -408,7 +386,7 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
 
     pos = _positions(vertices)
     text = _read_text(edge_file, "edge")
-    codes, loops, duplicates = _edge_codes(text, pos) or _edge_codes_by_line(text, pos, edge_file)
+    codes, loops, duplicates = _edge_codes(text, pos, edge_file)
     report = LoadReport(self_loops_dropped=loops, duplicate_edges_dropped=duplicates)
     return MultidimGraph._from_codes(dims, vertices, pos, codes), report
 

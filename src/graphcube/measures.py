@@ -84,12 +84,12 @@ def _cc_and_density(g: MultidimGraph, v: int, d: int) -> tuple[float, float]:
 
 def clustering_coefficient(g: MultidimGraph, v: int) -> float:
     """Fraction of neighbor pairs of v that are adjacent; 0 when deg(v) < 2."""
-    return _cc_and_density(g, v, len(g.neighbors(v)))[0]
+    return _cc_and_density(g, v, g.degree(v))[0]
 
 
 def local_density(g: MultidimGraph, v: int) -> float:
     """Edge density of the induced subgraph on the closed neighborhood of v."""
-    return _cc_and_density(g, v, len(g.neighbors(v)))[1]
+    return _cc_and_density(g, v, g.degree(v))[1]
 
 
 def _diversity(g: MultidimGraph, rows: list[tuple[str, ...]]) -> float:
@@ -105,11 +105,11 @@ def _diversity(g: MultidimGraph, rows: list[tuple[str, ...]]) -> float:
 
 def attribute_diversity(g: MultidimGraph, v: int) -> float:
     """Mean over dimensions of (distinct neighbor values / neighbor count)."""
-    return _diversity(g, g.neighbor_attributes(v))
+    return _diversity(g, g._neighbor_attributes(v))
 
 
 def vertex_score(g: MultidimGraph, v: int) -> VertexScore:
-    rows = g.neighbor_attributes(v)
+    rows = g._neighbor_attributes(v)
     alpha = _diversity(g, rows)
     cc, density = _cc_and_density(g, v, len(rows))
     return VertexScore(alpha=alpha, cc=cc, density=density, score=alpha * cc + density)

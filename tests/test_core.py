@@ -16,7 +16,7 @@ from graphcube import (
     load_graph_with_report,
     write_graph,
 )
-from graphcube.core import HUB_VALUE, LoadReport, MultidimGraph, _edge_codes, _positions
+from graphcube.core import HUB_VALUE, LoadReport, MultidimGraph
 
 from conftest import G0_DIMS, G0_EDGES, G0_VERTICES
 
@@ -108,9 +108,10 @@ class TestLoadGraph:
 
 
 def reference_load(dims, vertices, edge_file):
-    """A line-at-a-time edge parser, the reference for load_graph_with_report's
-    one-pass parser: the graph on ``vertices`` and the report, or the LoadError
-    for the first line it refuses. It builds a set of (min, max) pairs."""
+    """The edge parser as it was before the graph stored position codes, the
+    reference for load_graph_with_report: the graph on ``vertices`` and the
+    report, or the LoadError for the first line it refuses. It builds a set of
+    (min, max) id pairs."""
     edge_file = Path(edge_file)
     report = LoadReport()
     edges = set()
@@ -138,8 +139,9 @@ def reference_load(dims, vertices, edge_file):
 
 
 LOADER_VERTICES = {v: (f"x{v % 3}",) for v in (0, 1, 2, 3, 7, 10, 12)}
-# Endpoint spellings: the ids as written, and spellings that int() and JSON
-# read differently or that neither reads.
+# Endpoint spellings: the ids as written, spellings of them that int() also
+# reads (a sign, leading zeros or spaces, an underscore, a non-ASCII digit),
+# and spellings it refuses.
 ENDPOINTS = [str(v) for v in LOADER_VERTICES] + [
     "+1", "01", " 1", "1 ", "1_0", "\u0661", "1e3", "1.0", "true", "-1", "", "99", "0x1", "[1]",
 ]
@@ -160,7 +162,7 @@ ANY_LINES = st.one_of(
     trailing=st.booleans(),
 )
 def test_loader_matches_reference(tmp_path, lines, newline, trailing):
-    """The one-pass loader and the line parser agree on every edge file: the
+    """The loader and the reference parser agree on every edge file: the
     same graph, fingerprint and report, or the same LoadError text."""
     vfile, efile = tmp_path / "v.csv", tmp_path / "e.csv"
     write_graph(MultidimGraph(("D",), LOADER_VERTICES, frozenset()), vfile, efile)
@@ -177,27 +179,11 @@ def test_loader_matches_reference(tmp_path, lines, newline, trailing):
     assert g.fingerprint() == expected[0].fingerprint()
 
 
-@settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(st.tuples(st.sampled_from(sorted(LOADER_VERTICES)),
-                                st.sampled_from(sorted(LOADER_VERTICES))), max_size=40))
-def test_one_pass_parser_reads_plain_files(pairs):
-    """Files of plain <id>,<id> lines, with duplicates, reversed pairs and
-    self-loops, take the one-pass path and count what it drops exactly."""
-    text = "".join(f"{u},{w}\n" for u, w in pairs)
-    pos = _positions(LOADER_VERTICES)
-    n = len(pos)
-    distinct = {tuple(sorted((pos[u], pos[w]))) for u, w in pairs if u != w}
-    loops = sum(u == w for u, w in pairs)
-    assert _edge_codes(text, pos) == (
-        sorted(p * n + q for p, q in distinct), loops, len(pairs) - loops - len(distinct)
-    )
-
-
 def test_load_memory(tmp_path):
     """Bytes traced while loading a 3,000-vertex, 45,000-edge graph: retained
     13.4 MB and peak 25.6 MB with an edge frozenset, per-vertex neighbor
-    frozensets and a line-by-line parse; 2.7 MB and 8.4 MB with one
-    adjacency over positions and the one-pass parse."""
+    frozensets and a set of id pairs while parsing; 2.7 MB and 8.8 MB with
+    one adjacency over positions and a set of position codes."""
     g = generate_synthetic(GenParams(vertex_count=3000, edge_count=45000, dim_count=6, cardinality=10, seed=3))
     write_graph(g, tmp_path / "v.csv", tmp_path / "e.csv")
     del g
@@ -344,11 +330,14 @@ class TestNeighbors:
         with pytest.raises(UnknownVertexError):
             g0.neighbors(99)
 
-    def test_neighbor_attributes(self, g0):
+    def test_degree_and_neighbor_attributes(self, g0):
         for v in g0.vertices:
-            assert sorted(g0.neighbor_attributes(v)) == sorted(g0.vertices[u] for u in g0.neighbors(v))
+            assert g0.degree(v) == len(g0.neighbors(v))
+            assert sorted(g0._neighbor_attributes(v)) == sorted(g0.vertices[u] for u in g0.neighbors(v))
         with pytest.raises(UnknownVertexError):
-            g0.neighbor_attributes(99)
+            g0.degree(99)
+        with pytest.raises(UnknownVertexError):
+            g0._neighbor_attributes(99)
 
     def test_symmetry(self, g0):
         for v in g0.vertices:
