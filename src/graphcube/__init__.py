@@ -46,6 +46,6 @@ from .measures import (
     significance_table,
     vertex_score,
 )
-from .oracle import CubeDiff, combine, compare, oracle_cube, oracle_cuboid
+from .oracle import CubeDiff, compare, oracle_cube, oracle_cuboid
 
 __version__ = "0.1.0"

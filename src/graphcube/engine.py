@@ -16,7 +16,7 @@ import os
 import time
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, MutableMapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations, compress, count, repeat
@@ -71,15 +71,6 @@ class AggregateNode:
     values: tuple[str, ...]
     members: tuple[int, ...]
 
-    @property
-    def level(self) -> int:
-        return len(self.dims)
-
-    @property
-    def label(self) -> str:
-        """The values joined with '|', for display only."""
-        return "|".join(self.values)
-
 
 _values = attrgetter("values")
 
@@ -103,9 +94,10 @@ class AggregateNetwork:
 
     ``self_edges`` ({values: weight}) and ``cross_edges`` ({(lower values,
     higher values): weight}) are live views of the rows, keyed by value
-    tuples; writes through them change the rows. ``items()`` and ``==`` read
-    the columns in one pass; a single-key lookup scans them, so convert a view
-    with ``dict(view.items())`` before many lookups.
+    tuples. ``items()``, ``len`` and ``==`` read the columns in one pass; the
+    first keyed access on a view indexes its rows, and any key it reads after
+    that takes O(1). Assigning to a key changes that row's weight; no row is
+    added or removed through a view.
     """
 
     __slots__ = ("signature", "nodes", "lo", "hi", "weight")
@@ -150,12 +142,15 @@ class AggregateNetwork:
         return net
 
     @property
-    def self_edges(self) -> _SelfEdges:
-        return _SelfEdges(self)
+    def self_edges(self) -> _EdgeView:
+        """{values: weight of the edges inside that cell}"""
+        return _EdgeView(self, eq)
 
     @property
-    def cross_edges(self) -> _CrossEdges:
-        return _CrossEdges(self)
+    def cross_edges(self) -> _EdgeView:
+        """{(lower values, higher values): weight of the edges between the two
+        cells}; a lookup takes the two value tuples in either order."""
+        return _EdgeView(self, ne)
 
     def self_weight(self, values: tuple[str, ...]) -> int:
         return self.self_edges.get(values, 0)
@@ -196,64 +191,41 @@ class AggregateNetwork:
         )
 
 
-class _EdgeView(MutableMapping):
-    """The rows of one network inside cells (lo == hi) or between them, keyed
-    by value tuples. Holds no state but the network."""
+class _EdgeView(Mapping):
+    """The rows of one network inside cells (``eq``: lo == hi, keyed by value
+    tuple) or between them (``ne``: keyed by (lower values, higher values)).
 
-    __slots__ = ("_net",)
-    _inside: Callable[[int, int], bool]  # eq: rows inside a cell; ne: rows between cells
+    ``items()``, ``len`` and ``==`` read the columns. The first keyed access
+    indexes the rows by key, a cross key in both orders; assignment changes
+    an existing row's weight. No row is added or removed through a view.
+    """
 
-    def __init__(self, net: AggregateNetwork) -> None:
+    __slots__ = ("_net", "_inside", "_rows")
+
+    def __init__(self, net: AggregateNetwork, inside: Callable[[int, int], bool]) -> None:
         self._net = net
+        self._inside = inside
+        self._rows: dict | None = None
 
     def _mask(self) -> list[bool]:
         """Per row, whether it belongs to this view."""
         net = self._net
         return list(map(self._inside, net.lo, net.hi))
 
-    def _cells(self, key) -> tuple[int, int]:
-        """The (lo, hi) cell numbers a key names; KeyError if it names none."""
-        raise NotImplementedError
-
-    def _number(self, values) -> int:
-        try:
-            return list(map(_values, self._net.nodes)).index(values)
-        except ValueError:
-            raise KeyError(values) from None
-
-    def _find(self, key) -> int | None:
-        """The row a key names, or None."""
-        i, j = self._cells(key)
-        net = self._net
-        hi = net.hi
-        for r in compress(count(), map(eq, net.lo, repeat(i))):
-            if hi[r] == j:
-                return r
-        return None
+    def _row(self, key) -> int:
+        """The row a key names; KeyError if it names none."""
+        if self._rows is None:
+            rows = {k: r for (k, _), r in zip(self.items(), compress(count(), self._mask()))}
+            if self._inside is ne:
+                rows.update({(b, a): r for (a, b), r in rows.items()})
+            self._rows = rows
+        return self._rows[key]
 
     def __getitem__(self, key) -> int:
-        r = self._find(key)
-        if r is None:
-            raise KeyError(key)
-        return self._net.weight[r]
+        return self._net.weight[self._row(key)]
 
     def __setitem__(self, key, weight: int) -> None:
-        r = self._find(key)
-        net = self._net
-        if r is None:
-            i, j = self._cells(key)
-            net.lo.append(i)
-            net.hi.append(j)
-            net.weight.append(weight)
-        else:
-            net.weight[r] = weight
-
-    def __delitem__(self, key) -> None:
-        r = self._find(key)
-        if r is None:
-            raise KeyError(key)
-        net = self._net
-        del net.lo[r], net.hi[r], net.weight[r]
+        self._net.weight[self._row(key)] = weight
 
     def __len__(self) -> int:
         net = self._net
@@ -262,62 +234,30 @@ class _EdgeView(MutableMapping):
     def __eq__(self, other: object) -> bool:
         """Views of the same kind over the same cells in the same order compare
         their rows by cell number; anything else compares as a dict."""
-        if type(other) is type(self):
-            a, b = self._net, other._net  # type: ignore[attr-defined]
+        if type(other) is _EdgeView and other._inside is self._inside:
+            a, b = self._net, other._net
             if list(map(_values, a.nodes)) == list(map(_values, b.nodes)):
-                return a._weights(self._mask()) == b._weights(other._mask())  # type: ignore[attr-defined]
+                return a._weights(self._mask()) == b._weights(other._mask())
         return super().__eq__(other)
 
     def __iter__(self) -> Iterator:
         return (key for key, _ in self.items())
+
+    def items(self) -> list[tuple]:  # type: ignore[override]
+        net, mask = self._net, self._mask()
+        values = list(map(_values, net.nodes))
+        keys = map(values.__getitem__, compress(net.lo, mask))
+        if self._inside is ne:
+            keys = zip(keys, map(values.__getitem__, compress(net.hi, mask)))
+            if not all(map(lt, values, values[1:])):  # lo < hi need not mean lower values first
+                keys = ((a, b) if a < b else (b, a) for a, b in keys)
+        return list(zip(keys, compress(net.weight, mask)))
 
     def values(self) -> list[int]:  # type: ignore[override]
         return list(compress(self._net.weight, self._mask()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _SelfEdges(_EdgeView):
-    """{values: weight of the edges inside that cell}"""
-
-    __slots__ = ()
-    _inside = staticmethod(eq)
-
-    def _cells(self, key) -> tuple[int, int]:
-        i = self._number(key)
-        return i, i
-
-    def items(self) -> list[tuple[tuple[str, ...], int]]:  # type: ignore[override]
-        net, mask = self._net, self._mask()
-        values = list(map(_values, net.nodes))
-        return list(zip(map(values.__getitem__, compress(net.lo, mask)), compress(net.weight, mask)))
-
-
-class _CrossEdges(_EdgeView):
-    """{(lower values, higher values): weight of the edges between the two
-    cells}; a lookup takes the two value tuples in either order."""
-
-    __slots__ = ()
-    _inside = staticmethod(ne)
-
-    def _cells(self, key) -> tuple[int, int]:
-        try:
-            a, b = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        i, j = sorted((self._number(a), self._number(b)))
-        if i == j:
-            raise KeyError(key)
-        return i, j
-
-    def items(self) -> list[tuple[tuple[tuple[str, ...], tuple[str, ...]], int]]:  # type: ignore[override]
-        net, mask = self._net, self._mask()
-        values = list(map(_values, net.nodes))
-        pairs = zip(map(values.__getitem__, compress(net.lo, mask)), map(values.__getitem__, compress(net.hi, mask)))
-        if not all(map(lt, values, values[1:])):  # lo < hi need not mean lower values first
-            pairs = ((a, b) if a < b else (b, a) for a, b in pairs)
-        return list(zip(pairs, compress(net.weight, mask)))
 
 
 @dataclass
@@ -392,8 +332,8 @@ def _join(
     The members of each A cell are grouped by their B cell number, looked up
     in ``b_cell`` ({vertex: cell number} of the B cuboid), so all non-empty
     pairwise intersections fall out of a single scan. The first ``overlap``
-    dimensions of B are A's last ones. Semantics match the pairwise
-    oracle.combine().
+    dimensions of B are A's last ones. The result is checked against
+    oracle.oracle_cuboid(), which groups the vertex table directly.
 
     Returns the target cuboid's nodes in value-tuple order, with no sort:
     A cells come in value-tuple order, and the B cells that one A cell meets

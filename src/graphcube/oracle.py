@@ -4,8 +4,7 @@ Everything here works directly off the vertex table and edge list: cuboids are
 computed by a plain group-by with a per-edge loop, and significance scores are
 re-derived in exact rational arithmetic. The inverted index, the engine's join
 and its edge kernel are deliberately never used, so agreement between the two
-paths is meaningful. combine() merges two cells pairwise; no test compares it
-with the engine's join, which is checked against oracle_cuboid() instead.
+paths is meaningful.
 """
 
 from __future__ import annotations
@@ -27,50 +26,12 @@ from .errors import ParameterError, VerificationError
 
 __all__ = [
     "CubeDiff",
-    "combine",
     "oracle_cuboid",
     "oracle_cube",
     "compare",
     "rational_vertex_score",
     "rational_significance",
 ]
-
-
-def combine(a: AggregateNode, b: AggregateNode) -> AggregateNode | None:
-    """Merge two cells: union of signatures, intersection of members.
-
-    Returns None when the signatures coincide, a shared dimension carries
-    conflicting values, the intersection is empty, or the merged signature is
-    not canonical.
-    """
-    if a.dims == b.dims:
-        return None
-    aval = dict(zip(a.dims, a.values))
-    bval = dict(zip(b.dims, b.values))
-    for d in aval.keys() & bval.keys():
-        if aval[d] != bval[d]:
-            return None
-    merged_dims = tuple(sorted(aval.keys() | bval.keys()))
-    if not lws_valid(merged_dims):
-        return None
-    values = tuple(aval.get(d, bval.get(d)) for d in merged_dims)
-
-    # intersection of two ascending id lists by linear merge
-    members = []
-    i = j = 0
-    am, bm = a.members, b.members
-    while i < len(am) and j < len(bm):
-        if am[i] == bm[j]:
-            members.append(am[i])
-            i += 1
-            j += 1
-        elif am[i] < bm[j]:
-            i += 1
-        else:
-            j += 1
-    if not members:
-        return None
-    return AggregateNode(dims=merged_dims, values=values, members=tuple(members))
 
 
 def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
@@ -172,7 +133,6 @@ def compare(a: GraphCube, b: GraphCube) -> CubeDiff:
                 )
         if net_a.self_edges == net_b.self_edges and net_a.cross_edges == net_b.cross_edges:
             continue  # no weight differs; views over the same cells compare by cell number
-        # One dict per view: a view's own lookups scan its rows.
         self_a, self_b = dict(net_a.self_edges.items()), dict(net_b.self_edges.items())
         for key in sorted(self_a.keys() | self_b.keys()):
             wa = self_a.get(key, 0)

@@ -92,11 +92,11 @@ class TestCompare:
             cross_edges={k: w for k, w in net.cross_edges.items() if dropped.values not in k},
         )
         diff = compare(a, b)
-        assert any(label == dropped.label for _, label, _ in diff.missing_nodes)
+        assert any(label == "|".join(dropped.values) for _, label, _ in diff.missing_nodes)
         assert not diff.extra_nodes
         # symmetric direction
         diff2 = compare(b, a)
-        assert any(label == dropped.label for _, label, _ in diff2.extra_nodes)
+        assert any(label == "|".join(dropped.values) for _, label, _ in diff2.extra_nodes)
         assert not diff2.missing_nodes
 
     def test_fingerprint_mismatch_refused(self, g0):
