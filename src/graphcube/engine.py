@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations, compress, count, repeat
-from operator import add, attrgetter, eq, lt, mul, ne
+from operator import add, and_, attrgetter, eq, lt, mul, ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -152,11 +152,24 @@ class AggregateNetwork:
         cells}; a lookup takes the two value tuples in either order."""
         return _EdgeView(self, ne)
 
+    def _number(self, values: tuple[str, ...]) -> int:
+        """The number of the cell with these values, -1 for none."""
+        return next(compress(count(), map(eq, map(_values, self.nodes), repeat(values))), -1)
+
+    def _row_weight(self, i: int, j: int) -> int:
+        """The weight of row (i, j), i <= j, 0 if no row names the pair; one
+        scan of the columns, no index."""
+        hits = map(and_, map(eq, self.lo, repeat(i)), map(eq, self.hi, repeat(j)))
+        return next(compress(self.weight, hits), 0)
+
     def self_weight(self, values: tuple[str, ...]) -> int:
-        return self.self_edges.get(values, 0)
+        i = self._number(values)
+        return self._row_weight(i, i) if i >= 0 else 0
 
     def cross_weight(self, a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        return self.cross_edges.get((a, b), 0)
+        """The weight between two distinct cells, given in either order."""
+        i, j = sorted((self._number(a), self._number(b)))
+        return self._row_weight(i, j) if 0 <= i < j else 0
 
     def total_edge_weight(self) -> int:
         return sum(self.weight)
@@ -278,17 +291,56 @@ class GraphCube:
     meta: CubeMeta
 
 
+class _BuildNetwork(AggregateNetwork):
+    """The cells of one cuboid on their way from compute_cube to
+    aggregate_edges, carrying the build's edge groups (see _edge_groups)."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, signature: tuple[int, ...], nodes: list[AggregateNode], groups: dict) -> None:
+        super().__init__(signature, nodes)
+        self.groups = groups
+
+
+def _edge_groups(fwd: list[tuple[int, ...]], kept: list[int]) -> dict[int, tuple[list[int], list[int]]]:
+    """The forward edges (u, w) grouped by the bits both endpoints carry:
+    {kept[u] & kept[w]: (lower positions, higher positions)}, with the edges
+    whose endpoints share no bit left out."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for u, row in enumerate(fwd):
+        ku = kept[u]
+        if ku:
+            for w in row:
+                m = ku & kept[w]
+                if m:
+                    if m not in groups:
+                        groups[m] = ([], [])
+                    lows, highs = groups[m]
+                    lows.append(u)
+                    highs.append(w)
+    return groups
+
+
 def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork:
     """Classify every graph edge by its endpoints' cells.
 
     Each undirected edge counts once; edges with an endpoint outside all cells
     (pruned away) contribute nothing. Zero-weight entries are omitted.
 
-    Only the forward edges (u, w), u < w, of member vertices u are scanned:
-    cells are numbered by position in ``net.nodes``, each vertex position
-    holds its cell number (-1 for none), and the (cell of u, cell of w) pairs
-    are counted in one C-level pass. The counts of (i, j) and (j, i) are then
-    summed into the row (min, max); no value tuple is built.
+    The edges come grouped by mask (_edge_groups), and only the groups whose
+    mask holds every bit asked for are counted. Under compute_cube, the
+    groups are made once per build: a vertex carries one bit per dimension on
+    which its value is kept, and the cuboid asks for its signature's bits. An
+    edge (u, w) joins two cells of cuboid S exactly when both u and w keep
+    their values on every dimension of S, so no other group holds one. On
+    any other network, the groups come from its own cells: bit 1 for the
+    members, none for the rest.
+
+    Cells are numbered by position in ``net.nodes`` and each vertex position
+    holds its cell number. The (cell of u, cell of w) pairs of the chosen
+    groups are counted in one C-level pass over the chained groups, and the
+    counts of (i, j) and (j, i) are summed into the row (min, max); no value
+    tuple is built.
     """
     nodes = net.nodes
     pos, fwd = g.forward_adjacency()
@@ -296,21 +348,23 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     for c, node in enumerate(nodes):
         for v in node.members:
             cell[pos[v]] = c
-    us = [p for p, c in enumerate(cell) if c >= 0]
-    u_fwd = list(map(fwd.__getitem__, us))
+    if isinstance(net, _BuildNetwork):
+        groups, want = net.groups, sum(1 << d for d in net.signature)
+    else:
+        groups, want = _edge_groups(fwd, [0 if c < 0 else 1 for c in cell]), 1
+    chosen = [grp for m, grp in groups.items() if m & want == want]
     pairs = Counter(
         zip(
-            chain.from_iterable(map(repeat, map(cell.__getitem__, us), map(len, u_fwd))),
-            map(cell.__getitem__, chain.from_iterable(u_fwd)),
+            map(cell.__getitem__, chain.from_iterable(lows for lows, _ in chosen)),
+            map(cell.__getitem__, chain.from_iterable(highs for _, highs in chosen)),
         )
     )
     rows: dict[tuple[int, int], int] = {}
     for key, n in pairs.items():
         cu, cw = key
-        if cw >= 0:
-            if cu > cw:
-                key = (cw, cu)
-            rows[key] = rows.get(key, 0) + n
+        if cu > cw:
+            key = (cw, cu)
+        rows[key] = rows.get(key, 0) + n
     return AggregateNetwork.from_columns(
         net.signature,
         nodes,
@@ -400,10 +454,23 @@ def compute_cube(
             store[sig] = _join(store[sig[:p]], store[b_sig], cells[b_sig], 2 * p - k, sig)
         meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
 
+    del cells
+    # A vertex is in a cell of cuboid S iff its value is kept on every dimension
+    # of S, so the forward edges are grouped once by the dimensions on which
+    # both endpoints keep their values, and each cuboid counts only its groups.
+    pos, fwd = g.forward_adjacency()
+    kept = [0] * len(fwd)
+    for d in range(n):
+        for node in store[(d,)]:
+            for v in node.members:
+                kept[pos[v]] |= 1 << d
+    groups = _edge_groups(fwd, kept)
+    del kept
+
     cuboids: dict[tuple[int, ...], AggregateNetwork] = {}
     for sig, nodes in store.items():
         meta.nodes_emitted += len(nodes)
-        cuboids[sig] = aggregate_edges(g, AggregateNetwork(signature=sig, nodes=nodes))
+        cuboids[sig] = aggregate_edges(g, _BuildNetwork(sig, nodes, groups))
     return GraphCube(cuboids=cuboids, meta=meta)
 
 
@@ -526,7 +593,7 @@ def write_cube(cube: GraphCube, directory: str | Path) -> None:
         f"nodes_emitted,{meta.nodes_emitted}",
     ]
     for level, millis in meta.timings:
-        lines.append(f"level,{level},{millis:.3f}")
+        lines.append(f"level,{level},{millis:012.3f}")  # fixed width: the size of meta does not depend on the time
     tmp = directory / (META_NAME + ".tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     os.replace(tmp, meta_path)

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,19 @@ from graphcube import (
     ParameterError,
     PrunePolicy,
     QueryError,
+    SignificanceTable,
     Strategy,
     aggregate_edges,
     apply_policy,
     build_inverted_index,
     compare,
     compute_cube,
+    engine,
     generate_synthetic,
     level1_nodes,
     lws_valid,
     oracle_cube,
+    oracle_cuboid,
     query_cuboid,
     read_cuboid,
     significance_table,
@@ -358,6 +363,73 @@ def test_aggregate_edges_matches_edge_loop_property(case):
     for (a, b), w in cross.items():
         assert a < b and cross[b, a] == w and net.cross_weight(b, a) == w
     assert g == g2  # aggregate_edges leaves the graph as it was
+
+
+@st.composite
+def partly_pruned_builds(draw):
+    """A graph whose vertices keep their values on some dimensions and not on
+    others, with the table that says which, a strategy and a max_level.
+
+    Dimension 0 gives every vertex its own value, so ``support`` with
+    min_support 2 prunes all of it; ``dead`` prunes one whole dimension under
+    any policy."""
+    n = draw(st.integers(2, 4))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=20, unique=True))
+    value = st.sampled_from(["a", "b", "c"])
+    vertices = {v: (f"u{v}", *(draw(value) for _ in range(n - 1))) for v in ids}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=60))
+    g = MultidimGraph(
+        dims=tuple(f"d{j}" for j in range(n)),
+        vertices=vertices,
+        edges=frozenset((min(u, w), max(u, w)) for u, w in pairs if u != w),
+    )
+    idx = build_inverted_index(g)
+    kind = draw(st.sampled_from(["none", "support", "ss-mean"]))
+    min_support = draw(st.integers(1, 3)) if kind == "support" else 1
+    table = apply_policy(significance_table(g, idx), PrunePolicy(kind=kind, min_support=min_support))
+    dead = draw(st.none() | st.integers(0, n - 1))
+    if dead is not None:
+        rows = {key: replace(row, keep=row.keep and key[0] != dead) for key, row in table.rows.items()}
+        table = SignificanceTable(rows=rows, thresholds=table.thresholds, policy=table.policy)
+    strategy = draw(st.sampled_from(list(Strategy)))
+    return g, idx, table, strategy, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=partly_pruned_builds())
+def test_grouped_edge_count_matches_oracle_property(case):
+    """Each cuboid of a pruned build holds the vertices that keep their values
+    on all its dimensions, and exactly the edges among them: the oracle's
+    cuboid of that induced subgraph, and what aggregate_edges counts for the
+    same cells without the build's edge groups."""
+    g, idx, table, strategy, max_level = case
+    cube = compute_cube(g, idx, table, strategy=strategy, max_level=max_level)
+    assert sorted(cube.cuboids) == sorted(
+        sig for k in range(1, max_level + 1) for sig in combinations(range(g.dim_count), k)
+    )
+    for sig, net in cube.cuboids.items():
+        kept = {v: vals for v, vals in g.vertices.items() if all(table.keep(d, vals[d]) for d in sig)}
+        sub = MultidimGraph(g.dims, kept, frozenset(e for e in g.edges if e[0] in kept and e[1] in kept))
+        assert net == oracle_cuboid(sub, sig)
+        assert net == aggregate_edges(g, AggregateNetwork(sig, net.nodes))
+
+
+def test_compute_cube_counts_edges_through_the_module_seam(monkeypatch, g0):
+    """compute_cube calls the module attribute aggregate_edges once per cuboid,
+    with two positional arguments, and keeps what it returns."""
+    original = engine.aggregate_edges
+    calls = []
+
+    def wrapper(g, net, /):
+        out = original(g, net)
+        calls.append((net.signature, out))
+        return out
+
+    monkeypatch.setattr(engine, "aggregate_edges", wrapper)
+    cube = build_cube(g0, strategy=Strategy.STEPS_UP)
+    assert sorted(sig for sig, _ in calls) == sorted(cube.cuboids) == [(0,), (0, 1), (1,)]
+    for sig, out in calls:
+        assert cube.cuboids[sig] is out
 
 
 class TestEdgeColumns:
