@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Set
@@ -396,11 +397,32 @@ def load_graph(vertex_file: str | Path, edge_file: str | Path) -> MultidimGraph:
     return g
 
 
+# What one field of a vertex CSV cannot hold: a comma, a line break of
+# str.splitlines(), or a lone surrogate, which UTF-8 cannot encode.
+_NOT_IN_FIELD = re.compile("[,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800-\udfff]")
+
+
 def write_graph(g: MultidimGraph, vertex_file: str | Path, edge_file: str | Path) -> None:
-    """Emit the two CSV formats bit-deterministically (sorted ids / edge pairs)."""
+    """Emit the two CSV formats bit-deterministically (sorted ids / edge pairs).
+
+    Raises ParameterError, before any file is opened, for a graph that
+    load_graph would not read back: one without dimensions, with a negative
+    vertex id, or with a dimension name or value that a field cannot hold.
+    """
+    if not g.dims:
+        raise ParameterError("a graph without dimensions has no vertex file header")
+    for name in g.dims:
+        if _NOT_IN_FIELD.search(name):
+            raise ParameterError(f"dimension name {name!r} holds a comma, a line break or a lone surrogate")
     vlines = ["id," + ",".join(g.dims)]
     for vid in sorted(g.vertices):
-        vlines.append(f"{vid}," + ",".join(g.vertices[vid]))
+        if vid < 0:
+            raise ParameterError(f"vertex {vid}: negative id")
+        values = g.vertices[vid]
+        bad = next(filter(_NOT_IN_FIELD.search, values), None)
+        if bad is not None:
+            raise ParameterError(f"vertex {vid}: value {bad!r} holds a comma, a line break or a lone surrogate")
+        vlines.append(f"{vid}," + ",".join(values))
     Path(vertex_file).write_text("\n".join(vlines) + "\n", encoding="utf-8")
     elines = [f"{u},{w}" for u, w in g.edges]  # in ascending order
     Path(edge_file).write_text("\n".join(elines) + ("\n" if elines else ""), encoding="utf-8")

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations, compress, count, repeat
-from operator import add, and_, attrgetter, eq, lt, mul, ne
+from operator import add, attrgetter, eq, lt, mul, ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,7 +67,6 @@ def lws_valid(dims: Sequence[int]) -> bool:
 class AggregateNode:
     """One cell of a cuboid: value tuple plus its member vertex ids."""
 
-    dims: tuple[int, ...]
     values: tuple[str, ...]
     members: tuple[int, ...]
 
@@ -75,13 +74,14 @@ class AggregateNode:
 _values = attrgetter("values")
 
 
-def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> list[AggregateNode]:
-    """One node per kept (dimension, value); pruned values produce nothing."""
-    nodes = []
+def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> dict[tuple[int], list[AggregateNode]]:
+    """{(d,): one node per kept value of dimension d, in value order}; pruned
+    values produce nothing, and a dimension with no kept value no entry."""
+    store: dict[tuple[int], list[AggregateNode]] = {}
     for (d, value), members in sorted(idx.entries.items()):
         if table.keep(d, value):
-            nodes.append(AggregateNode((d,), (value,), tuple(members)))
-    return nodes
+            store.setdefault((d,), []).append(AggregateNode((value,), tuple(members)))
+    return store
 
 
 class AggregateNetwork:
@@ -89,8 +89,9 @@ class AggregateNetwork:
 
     The weights are three columns. Row r says that ``weight[r]`` edges join
     cells ``nodes[lo[r]]`` and ``nodes[hi[r]]``, with lo <= hi, and lo == hi
-    for the edges inside a cell; no two rows name the same pair. The engine
-    builds and reads networks with their nodes in value-tuple order.
+    for the edges inside a cell; no two rows name the same pair. The nodes
+    are in strictly ascending value-tuple order, so no two cells share a value
+    tuple and the lower cell number holds the lower values.
 
     ``self_edges`` ({values: weight}) and ``cross_edges`` ({(lower values,
     higher values): weight}) are live views of the rows, keyed by value
@@ -110,13 +111,17 @@ class AggregateNetwork:
         cross_edges: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int] | None = None,
     ) -> None:
         """Numbers the cells once and turns the value-keyed weights into rows;
-        a cross edge given in both orientations is summed. ValueError if a key
-        names no cell or a cross-edge key names one cell twice."""
+        a cross edge given in both orientations is summed. ValueError if the
+        nodes' value tuples do not strictly ascend, if a key names no cell or
+        if a cross-edge key names one cell twice."""
+        keys = list(map(_values, nodes))
+        if not all(map(lt, keys, keys[1:])):
+            raise ValueError("nodes are not in strictly ascending value-tuple order (or repeat a value tuple)")
         self.signature = signature
         self.nodes = nodes
         rows: dict[tuple[int, int], int] = {}
         if self_edges or cross_edges:
-            number = {nd.values: i for i, nd in enumerate(nodes)}
+            number = {v: i for i, v in enumerate(keys)}
             try:
                 for values, w in (self_edges or {}).items():
                     i = number[values]
@@ -133,10 +138,11 @@ class AggregateNetwork:
         self.weight = array("q", rows.values())
 
     @classmethod
-    def from_columns(
+    def _from_columns(
         cls, signature: tuple[int, ...], nodes: list[AggregateNode], lo: array, hi: array, weight: array
     ) -> AggregateNetwork:
-        """A network over rows already numbered by position in ``nodes``."""
+        """A network over rows already numbered by position in ``nodes``; the
+        caller vouches that the nodes are in strictly ascending value order."""
         net = cls.__new__(cls)
         net.signature, net.nodes, net.lo, net.hi, net.weight = signature, nodes, lo, hi, weight
         return net
@@ -151,25 +157,6 @@ class AggregateNetwork:
         """{(lower values, higher values): weight of the edges between the two
         cells}; a lookup takes the two value tuples in either order."""
         return _EdgeView(self, ne)
-
-    def _number(self, values: tuple[str, ...]) -> int:
-        """The number of the cell with these values, -1 for none."""
-        return next(compress(count(), map(eq, map(_values, self.nodes), repeat(values))), -1)
-
-    def _row_weight(self, i: int, j: int) -> int:
-        """The weight of row (i, j), i <= j, 0 if no row names the pair; one
-        scan of the columns, no index."""
-        hits = map(and_, map(eq, self.lo, repeat(i)), map(eq, self.hi, repeat(j)))
-        return next(compress(self.weight, hits), 0)
-
-    def self_weight(self, values: tuple[str, ...]) -> int:
-        i = self._number(values)
-        return self._row_weight(i, i) if i >= 0 else 0
-
-    def cross_weight(self, a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        """The weight between two distinct cells, given in either order."""
-        i, j = sorted((self._number(a), self._number(b)))
-        return self._row_weight(i, j) if 0 <= i < j else 0
 
     def total_edge_weight(self) -> int:
         return sum(self.weight)
@@ -262,8 +249,6 @@ class _EdgeView(Mapping):
         keys = map(values.__getitem__, compress(net.lo, mask))
         if self._inside is ne:
             keys = zip(keys, map(values.__getitem__, compress(net.hi, mask)))
-            if not all(map(lt, values, values[1:])):  # lo < hi need not mean lower values first
-                keys = ((a, b) if a < b else (b, a) for a, b in keys)
         return list(zip(keys, compress(net.weight, mask)))
 
     def values(self) -> list[int]:  # type: ignore[override]
@@ -365,7 +350,7 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
         if cu > cw:
             key = (cw, cu)
         rows[key] = rows.get(key, 0) + n
-    return AggregateNetwork.from_columns(
+    return AggregateNetwork._from_columns(
         net.signature,
         nodes,
         array("i", [i for i, _ in rows]),
@@ -379,7 +364,6 @@ def _join(
     b_nodes: list[AggregateNode],
     b_cell: dict[int, int],
     overlap: int,
-    target_sig: tuple[int, ...],
 ) -> list[AggregateNode]:
     """Intersect every compatible cell pair of two parent cuboids in one sweep.
 
@@ -407,7 +391,7 @@ def _join(
                     groups[j] = [v]
         for j in sorted(groups):
             values = a.values + b_nodes[j].values[overlap:]
-            target.append(AggregateNode(target_sig, values, tuple(groups[j])))
+            target.append(AggregateNode(values, tuple(groups[j])))
     return target
 
 
@@ -437,8 +421,7 @@ def compute_cube(
     # signature -> its nodes in value-tuple order, levels ascending. A fully pruned
     # dimension still emits its (empty) level-1 cuboid.
     store: dict[tuple[int, ...], list[AggregateNode]] = {(d,): [] for d in range(n)}
-    for node in level1_nodes(idx, table):
-        store[node.dims].append(node)
+    store.update(level1_nodes(idx, table))
     meta.timings.append((1, (time.perf_counter() - t0) * 1000.0))
 
     cells: dict[tuple[int, ...], dict[int, int]] = {}  # B side: {vertex: cell number}
@@ -451,7 +434,7 @@ def compute_cube(
             b_sig = sig[k - p:]
             if b_sig not in cells:
                 cells[b_sig] = {v: i for i, nd in enumerate(store[b_sig]) for v in nd.members}
-            store[sig] = _join(store[sig[:p]], store[b_sig], cells[b_sig], 2 * p - k, sig)
+            store[sig] = _join(store[sig[:p]], store[b_sig], cells[b_sig], 2 * p - k)
         meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
 
     del cells
@@ -480,6 +463,8 @@ def _resolve_signature(dims: tuple[str, ...], names: Iterable[str]) -> tuple[int
         if name not in dims:
             raise QueryError(f"unknown dimension {name}")
         indices.append(dims.index(name))
+    if not indices:
+        raise QueryError("invalid signature: no dimension")
     if len(set(indices)) != len(indices):
         raise QueryError("duplicate dimension in query")
     return tuple(sorted(indices))
@@ -538,18 +523,8 @@ class _Fields(dict):
 
 def _render_cuboid(net: AggregateNetwork, fields: _Fields) -> str:
     """N records in value-tuple order, S and E records sorted as strings, and M
-    records in cell order.
-
-    The engine's networks have their nodes in value-tuple order, so a row's
-    cell numbers are the file's; any other network is renumbered first.
-    """
-    if not all(map(lt, map(_values, net.nodes), map(_values, net.nodes[1:]))):
-        net = AggregateNetwork(
-            net.signature,
-            sorted(net.nodes, key=_values),
-            dict(net.self_edges.items()),
-            dict(net.cross_edges.items()),
-        )
+    records in cell order. A network's nodes are in value-tuple order, so a
+    row's cell numbers are the file's."""
     nodes = net.nodes
     names = list(map(str, range(len(nodes))))
     field = fields.__getitem__
@@ -787,8 +762,8 @@ def parse_cuboid(text: str, signature: tuple[int, ...], name: str) -> AggregateN
     if list(map(len, ordered)) != counts:
         i = next(i for i, m in enumerate(ordered) if len(m) != counts[i])
         raise CubeFormatError(f"{name}: member list of cell {i} {values[i]!r} does not match its count")
-    nodes = list(map(AggregateNode, repeat(signature), values, ordered))
-    return AggregateNetwork.from_columns(signature, nodes, lo, hi, weight)
+    nodes = list(map(AggregateNode, values, ordered))
+    return AggregateNetwork._from_columns(signature, nodes, lo, hi, weight)
 
 
 def _first_bad_line(text: str, name: str, level: int) -> CubeFormatError:

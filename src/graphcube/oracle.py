@@ -44,7 +44,7 @@ def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
         key = tuple(g.vertices[vid][d] for d in sig)
         groups.setdefault(key, []).append(vid)
     nodes = [
-        AggregateNode(dims=sig, values=values, members=tuple(members))
+        AggregateNode(values=values, members=tuple(members))
         for values, members in groups.items()
     ]
     nodes.sort(key=lambda nd: nd.values)

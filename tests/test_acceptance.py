@@ -133,7 +133,7 @@ def test_criterion_3_g0_ground_truths():
 
     cube = compute_cube(g0, idx, apply_policy(table, PrunePolicy(kind="none")))
     gender = cube.cuboids[(0,)]
-    ok &= gender.self_weight(("M",)) == 1 and gender.cross_weight(("M",), ("F",)) == 5
+    ok &= gender.self_edges.get(("M",), 0) == 1 and gender.cross_edges.get((("M",), ("F",)), 0) == 5
     both = cube.cuboids[(0, 1)]
     ok &= {n.values: n.members for n in both.nodes} == {
         ("M", "NY"): (1, 3),
@@ -141,10 +141,10 @@ def test_criterion_3_g0_ground_truths():
         ("M", "LA"): (5,),
         ("F", "LA"): (4, 6),
     }
-    ok &= both.self_weight(("M", "NY")) == 1
-    ok &= both.cross_weight(("M", "NY"), ("F", "NY")) == 2
-    ok &= both.cross_weight(("M", "NY"), ("F", "LA")) == 1
-    ok &= both.cross_weight(("F", "LA"), ("M", "LA")) == 2
+    ok &= both.self_edges.get(("M", "NY"), 0) == 1
+    ok &= both.cross_edges.get((("M", "NY"), ("F", "NY")), 0) == 2
+    ok &= both.cross_edges.get((("M", "NY"), ("F", "LA")), 0) == 1
+    ok &= both.cross_edges.get((("F", "LA"), ("M", "LA")), 0) == 2
     report(3, "canonical graph ground truths", ok)
 
 

@@ -12,8 +12,10 @@ from graphcube import (
     AggregateNode,
     CubeFormatError,
     GenParams,
+    GraphCube,
     MultidimGraph,
     NotMaterializedError,
+    ParameterError,
     Strategy,
     engine,
     generate_synthetic,
@@ -23,7 +25,7 @@ from graphcube import (
     write_cube,
     write_graph,
 )
-from graphcube.engine import read_cube_meta
+from graphcube.engine import CubeMeta, read_cube_meta
 from tests.conftest import make_g0
 from tests.test_engine import build_cube
 
@@ -79,7 +81,7 @@ def reference_read(directory, signature):
     for i, count in enumerate(counts):
         if len(members[i]) != count:
             raise CubeFormatError(f"{path.name}: member list of cell {i} does not match its count")
-        nodes.append(AggregateNode(dims=sig, values=values[i], members=members[i]))
+        nodes.append(AggregateNode(values=values[i], members=members[i]))
     nodes.sort(key=lambda nd: nd.values)
     return AggregateNetwork(signature=sig, nodes=nodes, self_edges=self_edges, cross_edges=cross_edges)
 
@@ -202,6 +204,84 @@ def test_loaded_graph_roundtrip_property(tmp_path_factory, g, policy):
     loaded = load_graph(tmp / "v.csv", tmp / "e.csv")
     assert loaded == g
     assert_reads_back(build_cube(loaded, policy), tmp / "cube")
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs())
+def test_written_graph_loads_or_is_refused_property(tmp_path_factory, g):
+    """write_graph refuses a graph that load_graph would not read back, before
+    it opens a file; every other graph loads back unchanged."""
+    tmp = tmp_path_factory.mktemp("graph")
+    try:
+        write_graph(g, tmp / "v.csv", tmp / "e.csv")
+    except ParameterError:
+        assert not any(tmp.iterdir())
+        return
+    assert load_graph(tmp / "v.csv", tmp / "e.csv") == g
+
+
+@pytest.mark.parametrize(
+    "dims, vertices, match",
+    [
+        (("a",), {1: ("x,y",)}, "vertex 1: value 'x,y'"),
+        (("a",), {1: ("x",), 2: ("x\ny",)}, "vertex 2: value"),
+        (("a",), {1: ("x\u2028",)}, "vertex 1: value"),
+        (("a",), {1: ("x\ud800",)}, "vertex 1: value"),
+        (("a",), {-1: ("x",)}, "vertex -1: negative id"),
+        (("a,b",), {1: ("x",)}, "dimension name 'a,b'"),
+        (("a", "b\r"), {1: ("x", "y")}, "dimension name 'b"),
+        ((), {1: ()}, "without dimensions"),
+    ],
+    ids=["comma", "newline", "u2028", "lone-surrogate", "negative-id", "comma-in-name", "cr-in-name", "no-dims"],
+)
+def test_write_graph_refuses_what_load_graph_refuses(tmp_path, dims, vertices, match):
+    g = MultidimGraph(dims=dims, vertices=vertices, edges=frozenset())
+    with pytest.raises(ParameterError, match=match):
+        write_graph(g, tmp_path / "v.csv", tmp_path / "e.csv")
+    assert not any(tmp_path.iterdir())
+
+
+cell_values = st.sampled_from(["a", "b", "a|b", "", "x\ty", "\\", "\ud800", "\u00e9"])
+
+
+@st.composite
+def constructed_networks(draw):
+    """Arguments for AggregateNetwork of a cuboid of 1 to 3 dimensions: cells
+    as the format defines them (one value per dimension, at least one member),
+    drawn in any order and possibly repeated, or sorted and made distinct,
+    with self and cross weights on the drawn cells."""
+    sig = tuple(range(draw(st.integers(1, 3))))
+    cell = st.tuples(st.tuples(*[cell_values] * len(sig)), st.lists(st.integers(-5, 10**12), min_size=1, max_size=4))
+    cells = draw(st.lists(cell, max_size=6))
+    if draw(st.booleans()):
+        cells = sorted(dict(cells).items())
+    nodes = [AggregateNode(values, tuple(members)) for values, members in cells]
+    keys = [nd.values for nd in nodes]
+    weight = st.integers(-(2**61), 2**61)
+    self_edges = draw(st.dictionaries(st.sampled_from(keys), weight)) if keys else {}
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys)).filter(lambda p: p[0] != p[1])
+    cross_edges = draw(st.dictionaries(pairs, weight, max_size=6)) if len(set(keys)) > 1 else {}
+    return sig, nodes, self_edges, cross_edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=constructed_networks())
+def test_constructed_network_roundtrip_property(tmp_path_factory, args):
+    """The constructor takes cells exactly when their value tuples strictly
+    ascend, and every network it takes is written and read back equal."""
+    sig, nodes, self_edges, cross_edges = args
+    keys = [nd.values for nd in nodes]
+    try:
+        net = AggregateNetwork(sig, nodes, self_edges, cross_edges)
+    except ValueError:
+        assert keys != sorted(set(keys))
+        return
+    assert keys == sorted(set(keys))
+    out = tmp_path_factory.mktemp("cube")
+    meta = CubeMeta(fingerprint="", policy="none", strategy="level-by-level", max_level=len(sig),
+                    dims=tuple(f"d{d}" for d in sig))
+    write_cube(GraphCube(cuboids={sig: net}, meta=meta), out)
+    assert read_cuboid(out, sig) == net
 
 
 @settings(max_examples=150, deadline=None)

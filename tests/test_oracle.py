@@ -18,8 +18,8 @@ class TestOracleCuboid:
         net = oracle_cuboid(g0, (0,))
         cells = {n.values: n.members for n in net.nodes}
         assert cells == {("M",): (1, 3, 5), ("F",): (2, 4, 6)}
-        assert net.self_weight(("M",)) == 1
-        assert net.cross_weight(("M",), ("F",)) == 5
+        assert net.self_edges.get(("M",), 0) == 1
+        assert net.cross_edges.get((("M",), ("F",)), 0) == 5
 
     def test_g0_gender_city(self, g0):
         net = oracle_cuboid(g0, (0, 1))
@@ -39,7 +39,7 @@ class TestOracleCuboid:
         )
         net = oracle_cuboid(g, (0,))
         assert len(net.nodes) == 1
-        assert net.self_weight(("v",)) == len(g.edges)
+        assert net.self_edges.get(("v",), 0) == len(g.edges)
 
     def test_invalid_signature(self, g0):
         with pytest.raises(ParameterError):
