@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from array import array
 from collections import Counter
@@ -72,6 +73,7 @@ class AggregateNode:
 
 
 _values = attrgetter("values")
+_members = attrgetter("members")
 
 
 def level1_nodes(idx: InvertedIndex, table: SignificanceTable) -> dict[tuple[int], list[AggregateNode]]:
@@ -111,10 +113,17 @@ class AggregateNetwork:
         cross_edges: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int] | None = None,
     ) -> None:
         """Numbers the cells once and turns the value-keyed weights into rows;
-        a cross edge given in both orientations is summed. ValueError if the
-        nodes' value tuples do not strictly ascend, if a key names no cell or
-        if a cross-edge key names one cell twice."""
+        a cross edge given in both orientations is summed. ValueError if a
+        cell has no members or not one value per dimension of the signature
+        (the file format holds neither), if the nodes' value tuples do not
+        strictly ascend, if a key names no cell or if a cross-edge key names
+        one cell twice."""
         keys = list(map(_values, nodes))
+        if not all(map(len, map(_members, nodes))):
+            raise ValueError(f"cell {next(nd.values for nd in nodes if not nd.members)!r} has no members")
+        if not set(map(len, keys)) <= {len(signature)}:
+            values = next(v for v in keys if len(v) != len(signature))
+            raise ValueError(f"cell {values!r} has {len(values)} values, not one per dimension of {signature!r}")
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("nodes are not in strictly ascending value-tuple order (or repeat a value tuple)")
         self.signature = signature
@@ -582,18 +591,30 @@ def _read_text(path: Path) -> str:
         raise CubeFormatError(f"{path.name}: byte {exc.start} is not UTF-8") from None
 
 
+# The last meta text read_cube_meta parsed and what it parsed to, replaced in
+# one assignment; a call whose file holds other text parses it again.
+_meta_memo: tuple[str, dict[str, str | tuple[str, ...]]] | None = None
+
+
 def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
     """The meta of a format-2 cube; ``dims`` is a tuple of names, which the
     dims line holds as tab-separated fields escaped like values.
 
-    Raises NotMaterializedError without a meta file and CubeFormatError for a
-    malformed meta or another format.
+    The file is read on every call; its text is parsed only when it differs
+    from the text the last successful call parsed. Each call returns a new
+    dict. Raises NotMaterializedError without a meta file and CubeFormatError
+    for a malformed meta or another format.
     """
+    global _meta_memo
     path = Path(directory) / META_NAME
     if not path.is_file():
         raise NotMaterializedError(f"no cube meta file in {directory}")
+    text = _read_text(path)
+    memo = _meta_memo
+    if memo is not None and memo[0] == text:
+        return dict(memo[1])
     out: dict[str, str | tuple[str, ...]] = {}
-    for line in _read_text(path).splitlines():
+    for line in text.splitlines():
         key, sep, rest = line.partition(",")
         if not sep:
             raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
@@ -612,7 +633,8 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
         out["dims"] = tuple(map(_unescape, str(out["dims"]).split("\t")))
     except ValueError:
         raise CubeFormatError(f"{path}: malformed dimension name in {out['dims']!r}") from None
-    return out
+    _meta_memo = (text, out)
+    return dict(out)
 
 
 def locate_cuboid(
@@ -621,7 +643,8 @@ def locate_cuboid(
     """Resolve a cuboid of a cube directory to its canonical signature and file.
 
     ``signature`` may be dimension names or indices, in any order. Raises
-    QueryError for an unknown, duplicate or out-of-range dimension and
+    QueryError unless every entry is a str or every entry is an int (a bool
+    is not one), for an unknown, duplicate or out-of-range dimension, and
     NotMaterializedError when the cube has no file for the cuboid or the
     cuboid is above the cube's max_level (a file left by an earlier cube).
     """
@@ -629,14 +652,16 @@ def locate_cuboid(
     meta = read_cube_meta(directory)
     dims = meta["dims"]
     assert isinstance(dims, tuple)
-    if signature and isinstance(next(iter(signature)), str):
+    if signature and all(isinstance(d, str) for d in signature):
         sig = _resolve_signature(dims, signature)  # type: ignore[arg-type]
-    else:
-        sig = tuple(sorted(int(d) for d in signature))
+    elif all(isinstance(d, int) and not isinstance(d, bool) for d in signature):
+        sig = tuple(sorted(signature))  # type: ignore[arg-type]
         if not all(0 <= d < len(dims) for d in sig):
             raise QueryError(f"dimension index out of range in {signature}")
         if not lws_valid(sig):
             raise QueryError(f"invalid signature {signature}")
+    else:
+        raise QueryError(f"invalid signature {signature!r}: not all dimension names or all dimension indices")
     path = directory / _cuboid_filename(sig)
     if len(sig) > int(meta["max_level"]) or not path.is_file():
         raise NotMaterializedError(
@@ -648,11 +673,73 @@ def locate_cuboid(
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved by locate_cuboid() and the file is checked and
-    parsed by parse_cuboid().
+    ``signature`` is resolved by locate_cuboid() and the file is read in full
+    on every call. Its text is checked and parsed by parse_cuboid(), unless
+    the network parsed from identical text is kept (see _OpenCube), so the
+    result always equals parse_cuboid() of the file as it is now. Each call
+    returns a new network, with its own nodes list and columns.
     """
     sig, path = locate_cuboid(directory, signature)
-    return parse_cuboid(_read_text(path), sig, path.name)
+    return _open_cube.read(path, sig, _read_text(path))
+
+
+# Cuboids kept per open cube. Reads in a zipf-like loop concentrate on a few
+# coarse cuboids; see CHANGES.md for the measurement that set it.
+_KEPT_CUBOIDS = 8
+
+
+class _OpenCube:
+    """What read_cuboid keeps of the cube directory it read last.
+
+    It counts the reads of each cuboid file there, and from a file's second
+    read on it keeps the parsed network with the exact text it was parsed
+    from, as one (text, network) tuple. A kept network is used only for
+    identical text, so no file timestamp is trusted. At most _KEPT_CUBOIDS
+    are kept: when all places are full, a new one replaces the kept cuboid
+    with the fewest reads, and only if it has been read more often. A read
+    from another directory drops the counts and every kept cuboid. The lock
+    guards the counts and the places; parsing and the text check run outside it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._directory: Path | None = None
+        self._reads: dict[str, int] = {}
+        self._kept: dict[str, tuple[str, AggregateNetwork]] = {}
+
+    def read(self, path: Path, sig: tuple[int, ...], text: str) -> AggregateNetwork:
+        name = path.name
+        with self._lock:
+            if path.parent != self._directory:
+                self._directory, self._reads, self._kept = path.parent, {}, {}
+            kept = self._kept
+            reads = self._reads[name] = self._reads.get(name, 0) + 1
+            entry = kept.get(name)
+        if entry is not None and entry[0] == text:
+            net = entry[1]
+        else:
+            net = parse_cuboid(text, sig, name)
+            if reads < 2 or not self._admit(kept, name, reads, (text, net)):
+                return net
+        return AggregateNetwork._from_columns(sig, list(net.nodes), net.lo[:], net.hi[:], net.weight[:])
+
+    def _admit(self, kept: dict, name: str, reads: int, entry: tuple[str, AggregateNetwork]) -> bool:
+        """Keep ``entry`` for file ``name``, read ``reads`` times, in ``kept``
+        if that is still the open cube's and it may take a place; True if it
+        was kept."""
+        with self._lock:
+            if kept is not self._kept:
+                return False  # dropped since this read was counted, even if the directory was opened again
+            if name not in kept and len(kept) >= _KEPT_CUBOIDS:
+                victim = min(kept, key=self._reads.__getitem__)
+                if self._reads[victim] >= reads:
+                    return False
+                del kept[victim]
+            kept[name] = entry
+            return True
+
+
+_open_cube = _OpenCube()
 
 
 # Record kinds in the order the writer emits sections.

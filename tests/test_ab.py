@@ -1,0 +1,61 @@
+"""tools/ab.py's verdict, on hand-made runs: no perfbench process starts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+METRICS = [
+    {"name": "build_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def runs(base_build, change_build, base_qps, change_qps):
+    return [({"build_s": b, "queries_per_s": bq}, {"build_s": c, "queries_per_s": cq})
+            for b, c, bq, cq in zip(base_build, change_build, base_qps, change_qps)]
+
+
+def verdicts(lines):
+    return {line.split()[0]: line.endswith("within bound") for line in lines[1:]}
+
+
+def test_within_bounds():
+    lines, breached = ab.summarize(METRICS, runs([1.0, 1.1, 0.9], [1.2, 1.3, 1.1], [100, 90, 110], [80, 76, 90]))
+    assert breached == []
+    assert verdicts(lines) == {"build_s": True, "queries_per_s": True}
+    assert lines[1].split()[-5:-2] == ["0", "of", "3"]  # change wins no pair
+
+
+def test_worse_than_the_bound_in_each_direction():
+    # medians: build_s 1.0 -> 1.26 (+26%), queries_per_s 100 -> 74 (-26%)
+    lines, breached = ab.summarize(METRICS, runs([1.0, 1.0, 1.0], [1.26, 1.3, 1.2], [100] * 3, [74, 70, 80]))
+    assert breached == ["build_s", "queries_per_s"]
+    assert verdicts(lines) == {"build_s": False, "queries_per_s": False}
+    assert "WORSE by more than 25%" in lines[1]
+
+
+def test_better_is_never_worse():
+    lines, breached = ab.summarize(METRICS, runs([1.0] * 2, [0.1] * 2, [100] * 2, [1000] * 2))
+    assert breached == []
+    assert lines[1].split()[-5:-2] == ["2", "of", "2"]
+
+
+def test_failed_runs_are_left_out_of_the_medians():
+    rows = runs([1.0, 1.0, 9.0], [1.0, 1.0, 1.0], [100] * 3, [100] * 3)
+    rows[2] = (rows[2][0], None)  # the change's third run failed
+    lines, breached = ab.summarize(METRICS, rows)
+    assert breached == []
+    assert "of 2" in lines[1]
+
+
+def test_bounds_come_from_the_benchmark_spec():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    base = {name: 1.0 for name in names}
+    lines, breached = ab.summarize(spec["end_to_end"], [(base, dict(base))])
+    assert breached == [] and len(lines) == 1 + len(names)

@@ -499,6 +499,23 @@ class TestEdgeColumns:
         with pytest.raises(ValueError, match="strictly ascending"):
             AggregateNetwork((0,), [first, replace(second, values=first.values)])
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"members": ()}, r"cell \('M',\) has no members"),
+            ({"values": ("M", "NY")}, r"cell \('M', 'NY'\) has 2 values, not one per dimension of \(0,\)"),
+            ({"values": ()}, r"cell \(\) has 0 values"),
+        ],
+        ids=["no-members", "too-many-values", "no-values"],
+    )
+    def test_constructor_refuses_cells_the_format_cannot_hold(self, g0, change, match):
+        """The writer would write such a cell, and the reader would refuse the
+        file: 'M\\t1\\t' is not an integer, and an N record would have the
+        wrong field count."""
+        first, second = build_cube(g0).cuboids[(0,)].nodes
+        with pytest.raises(ValueError, match=match):
+            AggregateNetwork((0,), [first, replace(second, **change)])
+
     def test_dict_constructor(self, g0):
         net = build_cube(g0).cuboids[(0,)]
         rebuilt = AggregateNetwork(

@@ -1,7 +1,12 @@
 """The cube's file format: pinned bytes, write/read round trip, the reader's
 refusals, and a failed write."""
 
+import functools
 import hashlib
+import random
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +21,13 @@ from graphcube import (
     MultidimGraph,
     NotMaterializedError,
     ParameterError,
+    QueryError,
     Strategy,
     engine,
     generate_synthetic,
     load_graph,
     locate_cuboid,
+    parse_cuboid,
     read_cuboid,
     write_cube,
     write_graph,
@@ -247,12 +254,15 @@ cell_values = st.sampled_from(["a", "b", "a|b", "", "x\ty", "\\", "\ud800", "\u0
 @st.composite
 def constructed_networks(draw):
     """Arguments for AggregateNetwork of a cuboid of 1 to 3 dimensions: cells
-    as the format defines them (one value per dimension, at least one member),
     drawn in any order and possibly repeated, or sorted and made distinct,
-    with self and cross weights on the drawn cells."""
+    with self and cross weights on the drawn cells. Some networks may hold
+    cells the format cannot: a value tuple of another length than the
+    signature's, or no members."""
     sig = tuple(range(draw(st.integers(1, 3))))
-    cell = st.tuples(st.tuples(*[cell_values] * len(sig)), st.lists(st.integers(-5, 10**12), min_size=1, max_size=4))
-    cells = draw(st.lists(cell, max_size=6))
+    widths = st.integers(0, 4) if draw(st.booleans()) else st.just(len(sig))
+    values = widths.flatmap(lambda n: st.tuples(*[cell_values] * n))
+    members = st.lists(st.integers(-5, 10**12), min_size=draw(st.sampled_from([0, 1])), max_size=4)
+    cells = draw(st.lists(st.tuples(values, members), max_size=6))
     if draw(st.booleans()):
         cells = sorted(dict(cells).items())
     nodes = [AggregateNode(values, tuple(members)) for values, members in cells]
@@ -267,16 +277,18 @@ def constructed_networks(draw):
 @settings(max_examples=200, deadline=None)
 @given(args=constructed_networks())
 def test_constructed_network_roundtrip_property(tmp_path_factory, args):
-    """The constructor takes cells exactly when their value tuples strictly
+    """The constructor takes cells exactly when each has one value per
+    dimension and at least one member and their value tuples strictly
     ascend, and every network it takes is written and read back equal."""
     sig, nodes, self_edges, cross_edges = args
     keys = [nd.values for nd in nodes]
+    holdable = keys == sorted(set(keys)) and all(len(k) == len(sig) and nd.members for k, nd in zip(keys, nodes))
     try:
         net = AggregateNetwork(sig, nodes, self_edges, cross_edges)
     except ValueError:
-        assert keys != sorted(set(keys))
+        assert not holdable
         return
-    assert keys == sorted(set(keys))
+    assert holdable
     out = tmp_path_factory.mktemp("cube")
     meta = CubeMeta(fingerprint="", policy="none", strategy="level-by-level", max_level=len(sig),
                     dims=tuple(f"d{d}" for d in sig))
@@ -546,3 +558,225 @@ class TestReader:
         path.write_text(path.read_text().replace("E\t0\t3\t1\n", "E\t0\t3\t1\tE\n1\t2\t3\n"))
         with pytest.raises(CubeFormatError, match="line 7: .*5 fields, not 4"):
             read_cuboid(gender.parent, ["Gender", "City"])
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [[0, "City"], ["Gender", 1], [0.7], [True], [False, 1], (1.5, 0), [None]],
+    ids=["int-and-name", "name-and-int", "float", "bool", "bool-and-int", "floats", "none"],
+)
+def test_signature_of_names_or_indices_only(tmp_path, signature):
+    """A signature is all dimension names or all int indices; no entry is
+    converted, so 0.7 does not read cuboid (0,) nor True cuboid (1,)."""
+    write_cube(build_cube(make_g0()), tmp_path)
+    with pytest.raises(QueryError, match="invalid signature"):
+        locate_cuboid(tmp_path, signature)
+    with pytest.raises(QueryError, match="invalid signature"):
+        read_cuboid(tmp_path, signature)
+
+
+# ---------------------------------------------------------------------------
+# What read_cuboid keeps between calls (engine._OpenCube). Every read must
+# equal parse_cuboid of the file's text at that moment.
+# ---------------------------------------------------------------------------
+
+
+def parse_now(directory, sig):
+    _, path = locate_cuboid(directory, sig)
+    return parse_cuboid(path.read_text(encoding="utf-8"), sig, path.name)
+
+
+def kept_names():
+    return set(engine._open_cube._kept)
+
+
+class TestReadCache:
+    @pytest.fixture
+    def g0_cube(self, tmp_path):
+        cube = build_cube(make_g0())
+        write_cube(cube, tmp_path)
+        return cube
+
+    def test_same_length_tamper_after_admission(self, tmp_path, g0_cube):
+        path = tmp_path / "0.tsv"
+        for _ in range(2):
+            assert read_cuboid(tmp_path, ["Gender"]) == g0_cube.cuboids[(0,)]
+        assert "0.tsv" in kept_names()
+        text = path.read_text()
+        path.write_text(text.replace("S\t1\t1", "S\t1\t2"))
+        net = read_cuboid(tmp_path, ["Gender"])
+        assert net.self_edges[("M",)] == 2
+        assert net == parse_now(tmp_path, (0,))
+        path.write_text(text.replace("S\t1\t1", "S\t1\tx"))
+        with pytest.raises(CubeFormatError, match="0.tsv line 3"):
+            read_cuboid(tmp_path, ["Gender"])
+        path.write_text(text)
+        assert read_cuboid(tmp_path, ["Gender"]) == g0_cube.cuboids[(0,)]
+
+    def test_another_cube_written_into_the_directory(self, tmp_path, g0_cube):
+        for _ in range(2):
+            for sig in g0_cube.cuboids:
+                read_cuboid(tmp_path, sig)
+        assert kept_names() == {"0.tsv", "1.tsv", "0_1.tsv"}
+        other = build_cube(make_g0(), "ss-mean")
+        assert other.cuboids != g0_cube.cuboids
+        write_cube(other, tmp_path)
+        for sig, net in other.cuboids.items():
+            assert read_cuboid(tmp_path, sig) == net
+
+    def test_changing_a_result_leaves_the_kept_network(self, tmp_path, g0_cube):
+        want = g0_cube.cuboids[(0, 1)]
+        for _ in range(3):
+            net = read_cuboid(tmp_path, (0, 1))
+            assert net == want
+            net.self_edges[("M", "NY")] = 99
+            net.cross_edges[("F", "LA"), ("M", "LA")] = 99
+            net.nodes[0] = replace(net.nodes[0], members=net.nodes[0].members[1:])
+            net.nodes.pop()
+        assert "0_1.tsv" in kept_names()
+        assert read_cuboid(tmp_path, (0, 1)) == want == parse_now(tmp_path, (0, 1))
+
+    def test_each_call_returns_a_new_network(self, tmp_path, g0_cube):
+        a, b = read_cuboid(tmp_path, (0,)), read_cuboid(tmp_path, (0,))
+        c = read_cuboid(tmp_path, (0,))
+        for x, y in ((a, b), (b, c), (a, c)):
+            assert x == y and x is not y
+            assert x.nodes is not y.nodes
+            assert x.lo is not y.lo and x.hi is not y.hi and x.weight is not y.weight
+
+    def test_one_read_pass_keeps_nothing(self, tmp_path):
+        cube = build_cube(GRAPHS["gen"]())  # 15 cuboids
+        write_cube(cube, tmp_path)
+        for sig, net in cube.cuboids.items():
+            assert read_cuboid(tmp_path, sig) == net
+        assert kept_names() == set()
+        for sig, net in cube.cuboids.items():
+            assert read_cuboid(tmp_path, sig) == net
+        assert len(kept_names()) == engine._KEPT_CUBOIDS < len(cube.cuboids)
+
+    def test_a_full_cache_admits_only_a_more_read_cuboid(self, tmp_path):
+        cube = build_cube(GRAPHS["gen"]())
+        write_cube(cube, tmp_path)
+        sigs = sorted(cube.cuboids, key=lambda s: (len(s), s))
+        names = [engine._cuboid_filename(s) for s in sigs]
+        k = engine._KEPT_CUBOIDS
+        for sig in sigs[: k + 1]:
+            read_cuboid(tmp_path, sig)
+            read_cuboid(tmp_path, sig)
+        assert kept_names() == set(names[:k])  # the (k+1)-th, read as often, waits
+        read_cuboid(tmp_path, sigs[1])
+        read_cuboid(tmp_path, sigs[k])  # now read more often than sigs[0]
+        assert kept_names() == set(names[1 : k + 1])
+        assert read_cuboid(tmp_path, sigs[k]) == cube.cuboids[sigs[k]]
+
+    def test_another_directory_drops_everything(self, tmp_path, g0_cube):
+        other = tmp_path / "other"
+        write_cube(g0_cube, other)
+        for _ in range(2):
+            read_cuboid(tmp_path, (0,))
+        assert kept_names() == {"0.tsv"}
+        read_cuboid(other, (1,))
+        assert kept_names() == set()
+        read_cuboid(tmp_path, (0,))  # its count started again
+        assert kept_names() == set()
+
+    def test_meta_text_parsed_again_when_it_changes(self, tmp_path, g0_cube):
+        meta = read_cube_meta(tmp_path)
+        meta["dims"] = ("changed",)
+        assert read_cube_meta(tmp_path)["dims"] == ("Gender", "City")
+        path = tmp_path / "meta"
+        text = path.read_text()
+        path.write_text(text.replace("strategy,level-by-level", "strategy,steps-up"))
+        assert read_cube_meta(tmp_path)["strategy"] == "steps-up"
+        path.write_text(text.replace("max_level,2", "max_level,x"))
+        with pytest.raises(CubeFormatError, match="max_level 'x' is not a number"):
+            read_cube_meta(tmp_path)
+        path.write_text(text)
+        assert read_cube_meta(tmp_path)["max_level"] == "2"
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (CubeFormatError, NotMaterializedError) as exc:
+        return type(exc), str(exc)
+
+
+@functools.cache
+def gen_cubes():
+    g = GRAPHS["gen"]()
+    return [build_cube(g, policy, max_level=level) for policy, level in (("none", 4), ("ss-mean", 4), ("none", 2))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reads_follow_the_files_property(tmp_path_factory, data):
+    """Reads, rewrites of the cube, same-length tampers and reads from another
+    directory, interleaved: every read returns what parse_cuboid makes of the
+    file's text at that moment, or raises the same error."""
+    root = tmp_path_factory.mktemp("cache")
+    dirs = [root / "a", root / "b"]
+    cubes = gen_cubes()
+    for d in dirs:
+        write_cube(cubes[0], d)
+    every = sorted(cubes[0].cuboids)
+    sigs = st.one_of(st.sampled_from(every[:3]), st.sampled_from(every))  # some hot, all more than kept
+    where = st.sampled_from(dirs[:1] * 4 + dirs[1:])  # mostly one directory, so something is kept
+    read = st.tuples(st.just("read"), where, sigs)
+    ops = st.one_of(
+        read,
+        read,
+        st.tuples(st.just("rewrite"), where, st.sampled_from(range(len(cubes)))),
+        st.tuples(st.just("tamper"), where, sigs),
+    )
+    for kind, d, arg in data.draw(st.lists(ops, min_size=10, max_size=40)):
+        if kind == "rewrite":
+            write_cube(cubes[arg], d)
+        elif kind == "tamper":
+            path = d / engine._cuboid_filename(arg)
+            text = path.read_text(encoding="utf-8")
+            if text:
+                i = data.draw(st.integers(0, len(text) - 1))
+                c = data.draw(st.sampled_from("0123456789x"))
+                path.write_text(text[:i] + c + text[i + 1:], encoding="utf-8")
+        else:
+            assert outcome(read_cuboid, d, arg) == outcome(parse_now, d, arg)
+
+
+def test_threads_reading_two_directories(tmp_path):
+    """Threads read the cuboids of one directory, and now and then the same
+    files of another directory that holds another cube, which drops what is
+    kept. Every result must be the cube of the directory it was read from,
+    and at most _KEPT_CUBOIDS networks are kept."""
+    cubes = gen_cubes()[:2]
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d, cube in zip(dirs, cubes):
+        write_cube(cube, d)
+    sigs = sorted(cubes[0].cuboids)
+    wrong = []
+
+    def client(seed):
+        rng = random.Random(seed)
+        try:
+            for n in range(150):
+                i, sig = int(n % 50 == 49), sigs[min(rng.randrange(len(sigs)), rng.randrange(len(sigs)))]
+                if read_cuboid(dirs[i], sig) != cubes[i].cuboids[sig]:
+                    wrong.append((i, sig))
+        except Exception as exc:  # a thread's exception would not fail the test
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(5):
+            threads = [threading.Thread(target=client, args=(4 * r + i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(kept_names()) <= engine._KEPT_CUBOIDS

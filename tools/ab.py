@@ -10,9 +10,12 @@ one pair to the next; pair i uses seed ``--seed + i``. The metric names and
 which direction is better come from CHANGE's BENCHMARK.json.
 
 Each run's metrics are printed as it finishes. At the end, for each workload
-and metric, the table gives each side's median and quartiles and the number of
-pairs CHANGE won (ties count for neither side). A run that exits non-zero or
-prints no result counts as failed. This script writes no file: the runs start
+and metric, the table gives each side's median and quartiles, the number of
+pairs CHANGE won (ties count for neither side) and a verdict: WORSE when
+CHANGE's median is worse than BASE's by more than the metric's ``bound`` in
+CHANGE's BENCHMARK.json, as a fraction of BASE's median. A run that exits
+non-zero or prints no result counts as failed. The exit code is 1 if any run
+failed or any metric is WORSE, else 0. This script writes no file: the runs start
 with PYTHONDONTWRITEBYTECODE=1, and perfbench/run.py deletes its own work
 directory after each run; its own `.perfbench_work/` parent directory
 (git-ignored) stays.
@@ -50,20 +53,29 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) -> list[str]:
-    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'change wins':>12}"]
+def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) -> tuple[list[str], list[str]]:
+    """The table for one workload, and the names of the metrics whose change
+    median is worse than the base median by more than the metric's bound."""
+    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'change wins':>12}  verdict"]
+    breached = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [(b[name], c[name]) for b, c in runs if b and c and name in b and name in c]
         if not pairs:
             continue
-        cols = []
+        cols, medians = [], []
         for side in (0, 1):
             q1, q2, q3 = quartiles([p[side] for p in pairs])
             cols.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}] {m['unit']}")
+            medians.append(q2)
         wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {wins:>7} of {len(pairs)}")
-    return lines
+        base, change = medians
+        worse = change > base * (1 + m["bound"]) if lower else change < base * (1 - m["bound"])
+        if worse:
+            breached.append(name)
+        verdict = f"WORSE by more than {m['bound']:.0%}" if worse else "within bound"
+        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {wins:>7} of {len(pairs)}  {verdict}")
+    return lines, breached
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    report = []
+    report, bad = [], 0
     for workload in workloads:
         runs = []
         for i in range(args.pairs):
@@ -93,9 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         failed = [sum(r[side] is None for r in runs) for side in (0, 1)]
         report += ["", f"{workload}: {args.pairs} pairs, --seconds {args.seconds:g}, "
                    f"failed runs base {failed[0]} change {failed[1]}"]
-        report += summarize(spec["end_to_end"], runs)
+        lines, worse = summarize(spec["end_to_end"], runs)
+        report += lines
+        bad += sum(failed) + len(worse)
     print("\n".join(report))
-    return 0
+    print(f"verdict: {'FAIL' if bad else 'PASS'} ({bad} failed runs and metrics beyond their bounds)")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
