@@ -13,10 +13,9 @@ from pathlib import Path
 from .core import GenParams, generate_synthetic, load_graph_with_report, write_graph, build_inverted_index
 from .engine import (
     Strategy,
-    _read_text,
+    _open_cube,
     compute_cube,
     locate_cuboid,
-    parse_cuboid,
     write_cube,
 )
 from .errors import CubeFormatError, LoadError, NotMaterializedError, ParameterError, QueryError
@@ -146,9 +145,8 @@ def cmd_cube(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     names = [n for n in args.dims.split(",") if n]
     sig, path = locate_cuboid(args.cube_dir, names)
-    text = _read_text(path)
-    parse_cuboid(text, sig, path.name)  # print only what the reader accepts
-    sys.stdout.write(text)
+    data, _ = _open_cube.read(path, sig)  # print only what read_cuboid accepts
+    sys.stdout.buffer.write(data)
     return EXIT_OK
 
 

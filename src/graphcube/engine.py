@@ -564,7 +564,7 @@ def write_cube(cube: GraphCube, directory: str | Path) -> None:
     meta_path.unlink(missing_ok=True)
     fields = _Fields()
     for sig, net in sorted(cube.cuboids.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        (directory / _cuboid_filename(sig)).write_text(_render_cuboid(net, fields), encoding="utf-8")
+        (directory / _cuboid_filename(sig)).write_bytes(_render_cuboid(net, fields).encode("utf-8"))
     meta = cube.meta
     lines = [
         f"format,{FORMAT}",
@@ -579,42 +579,43 @@ def write_cube(cube: GraphCube, directory: str | Path) -> None:
     for level, millis in meta.timings:
         lines.append(f"level,{level},{millis:012.3f}")  # fixed width: the size of meta does not depend on the time
     tmp = directory / (META_NAME + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     os.replace(tmp, meta_path)
 
 
-def _read_text(path: Path) -> str:
-    """The text of a cube file; CubeFormatError if it is not UTF-8."""
+def _decode(data: bytes, name: str) -> str:
+    """The text of cube file ``name``; CubeFormatError if it is not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CubeFormatError(f"{path.name}: byte {exc.start} is not UTF-8") from None
+        raise CubeFormatError(f"{name}: byte {exc.start} is not UTF-8") from None
 
 
-# The last meta text read_cube_meta parsed and what it parsed to, replaced in
-# one assignment; a call whose file holds other text parses it again.
-_meta_memo: tuple[str, dict[str, str | tuple[str, ...]]] | None = None
+# The last meta bytes read_cube_meta parsed and what they parsed to, replaced
+# in one assignment; a call whose file holds other bytes parses it again.
+_meta_memo: tuple[bytes, dict[str, str | tuple[str, ...]]] | None = None
 
 
 def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
     """The meta of a format-2 cube; ``dims`` is a tuple of names, which the
     dims line holds as tab-separated fields escaped like values.
 
-    The file is read on every call; its text is parsed only when it differs
-    from the text the last successful call parsed. Each call returns a new
-    dict. Raises NotMaterializedError without a meta file and CubeFormatError
-    for a malformed meta or another format.
+    The file is read on every call; it is decoded and parsed only when its
+    bytes differ from those the last successful call parsed. Each call
+    returns a new dict. Raises NotMaterializedError without a meta file and
+    CubeFormatError for a malformed meta or another format.
     """
     global _meta_memo
     path = Path(directory) / META_NAME
-    if not path.is_file():
-        raise NotMaterializedError(f"no cube meta file in {directory}")
-    text = _read_text(path)
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise NotMaterializedError(f"no cube meta file in {directory}") from None
     memo = _meta_memo
-    if memo is not None and memo[0] == text:
+    if memo is not None and memo[0] == data:
         return dict(memo[1])
     out: dict[str, str | tuple[str, ...]] = {}
-    for line in text.splitlines():
+    for line in _decode(data, path.name).splitlines():
         key, sep, rest = line.partition(",")
         if not sep:
             raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
@@ -633,7 +634,7 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
         out["dims"] = tuple(map(_unescape, str(out["dims"]).split("\t")))
     except ValueError:
         raise CubeFormatError(f"{path}: malformed dimension name in {out['dims']!r}") from None
-    _meta_memo = (text, out)
+    _meta_memo = (data, out)
     return dict(out)
 
 
@@ -674,13 +675,14 @@ def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int])
     """Read one cuboid back from a cube directory.
 
     ``signature`` is resolved by locate_cuboid() and the file is read in full
-    on every call. Its text is checked and parsed by parse_cuboid(), unless
-    the network parsed from identical text is kept (see _OpenCube), so the
-    result always equals parse_cuboid() of the file as it is now. Each call
-    returns a new network, with its own nodes list and columns.
+    on every call. Its bytes are decoded, checked and parsed by
+    parse_cuboid(), unless the network parsed from identical bytes is kept
+    (see _OpenCube), so the result always equals parse_cuboid() of the file
+    as it is now. Each call returns a new network, with its own nodes list
+    and columns.
     """
     sig, path = locate_cuboid(directory, signature)
-    return _open_cube.read(path, sig, _read_text(path))
+    return _open_cube.read(path, sig)[1]
 
 
 # Cuboids kept per open cube. Reads in a zipf-like loop concentrate on a few
@@ -692,51 +694,43 @@ class _OpenCube:
     """What read_cuboid keeps of the cube directory it read last.
 
     It counts the reads of each cuboid file there, and from a file's second
-    read on it keeps the parsed network with the exact text it was parsed
-    from, as one (text, network) tuple. A kept network is used only for
-    identical text, so no file timestamp is trusted. At most _KEPT_CUBOIDS
+    read on it keeps the parsed network with the exact bytes it was parsed
+    from, as one (bytes, network) tuple. A kept network is used only for
+    identical bytes, so no file timestamp is trusted. At most _KEPT_CUBOIDS
     are kept: when all places are full, a new one replaces the kept cuboid
     with the fewest reads, and only if it has been read more often. A read
-    from another directory drops the counts and every kept cuboid. The lock
-    guards the counts and the places; parsing and the text check run outside it.
+    from another directory drops the counts and every kept cuboid. One lock
+    covers the counting, the byte check, the parse, the admission and the
+    copy.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._directory: Path | None = None
         self._reads: dict[str, int] = {}
-        self._kept: dict[str, tuple[str, AggregateNetwork]] = {}
+        self._kept: dict[str, tuple[bytes, AggregateNetwork]] = {}
 
-    def read(self, path: Path, sig: tuple[int, ...], text: str) -> AggregateNetwork:
-        name = path.name
+    def read(self, path: Path, sig: tuple[int, ...]) -> tuple[bytes, AggregateNetwork]:
+        """The file's bytes and a network of its own parsed from them."""
+        data, name = path.read_bytes(), path.name
         with self._lock:
             if path.parent != self._directory:
                 self._directory, self._reads, self._kept = path.parent, {}, {}
-            kept = self._kept
-            reads = self._reads[name] = self._reads.get(name, 0) + 1
+            kept, counts = self._kept, self._reads
+            reads = counts[name] = counts.get(name, 0) + 1
             entry = kept.get(name)
-        if entry is not None and entry[0] == text:
+            if entry is None or entry[0] != data:
+                entry = (data, parse_cuboid(_decode(data, name), sig, name))
+                if reads < 2:
+                    return entry
+                if name not in kept and len(kept) >= _KEPT_CUBOIDS:
+                    victim = min(kept, key=counts.__getitem__)
+                    if counts[victim] >= reads:
+                        return entry
+                    del kept[victim]
+                kept[name] = entry
             net = entry[1]
-        else:
-            net = parse_cuboid(text, sig, name)
-            if reads < 2 or not self._admit(kept, name, reads, (text, net)):
-                return net
-        return AggregateNetwork._from_columns(sig, list(net.nodes), net.lo[:], net.hi[:], net.weight[:])
-
-    def _admit(self, kept: dict, name: str, reads: int, entry: tuple[str, AggregateNetwork]) -> bool:
-        """Keep ``entry`` for file ``name``, read ``reads`` times, in ``kept``
-        if that is still the open cube's and it may take a place; True if it
-        was kept."""
-        with self._lock:
-            if kept is not self._kept:
-                return False  # dropped since this read was counted, even if the directory was opened again
-            if name not in kept and len(kept) >= _KEPT_CUBOIDS:
-                victim = min(kept, key=self._reads.__getitem__)
-                if self._reads[victim] >= reads:
-                    return False
-                del kept[victim]
-            kept[name] = entry
-            return True
+            return data, AggregateNetwork._from_columns(sig, list(net.nodes), net.lo[:], net.hi[:], net.weight[:])
 
 
 _open_cube = _OpenCube()

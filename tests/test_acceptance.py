@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The performance criterion
-builds a full cube over a 50k-vertex graph twice per strategy and takes a few
-minutes on a desktop-class machine; it is marked ``slow``, so ``pytest -m "not
+builds a full cube over a 50k-vertex graph twice per strategy and takes about
+one minute on a 2-core machine; it is marked ``slow``, so ``pytest -m "not
 slow"`` leaves it out of a quick run.
 """
 

@@ -158,17 +158,24 @@ class TestQuery:
     def test_gender_network(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Gender") == 0
         out = capsys.readouterr().out
+        assert out == (cube_dir / "0.tsv").read_bytes().decode("utf-8")
         assert out.startswith("N\tF\t3\nN\tM\t3\n")  # cell 0 is F, cell 1 is M
         assert "S\t1\t1" in out
         assert "E\t0\t1\t5" in out
 
     def test_damaged_cuboid_prints_nothing(self, cube_dir, capsys):
         path = cube_dir / "0.tsv"  # Gender
-        path.write_text(path.read_text().replace("S\t1\t1", "S\t1\tx"))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"S\t1\t1", b"S\t1\tx"))
         assert run("query", cube_dir, "--dims", "Gender") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "0.tsv line 3" in captured.err
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0.tsv line 1: 'N\\tF\\t3\\r' (line break inside a record)" in captured.err
 
     def test_unknown_dimension(self, cube_dir, capsys):
         assert run("query", cube_dir, "--dims", "Bogus") == 3
@@ -179,6 +186,18 @@ class TestQuery:
         assert run("cube", *g0_files, out, "--max-level", 1) == 0
         assert run("query", out, "--dims", "Gender,City") == 3
         assert "Gender,City" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hazard", ["meta-is-a-directory", "cube-is-a-file"])
+    def test_no_meta_file(self, cube_dir, hazard, capsys):
+        if hazard == "meta-is-a-directory":
+            (cube_dir / "meta").unlink()
+            (cube_dir / "meta").mkdir()
+        else:
+            cube_dir = cube_dir / "0.tsv"
+        assert run("query", cube_dir, "--dims", "Gender") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no cube meta file" in captured.err
 
     def test_blank_meta_line(self, cube_dir, capsys):
         with (cube_dir / "meta").open("a") as f:

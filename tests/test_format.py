@@ -481,6 +481,23 @@ def test_file_of_an_earlier_larger_cube_not_read(tmp_path):
         read_cuboid(tmp_path, ["Gender", "City"])
 
 
+@pytest.mark.parametrize("hazard", ["meta-is-a-directory", "cube-is-a-file"])
+def test_no_meta_file_is_not_materialized(tmp_path, hazard):
+    """A meta that is a directory, or a cube directory that is a regular
+    file, holds no cube."""
+    cube_dir = tmp_path / "cube"
+    write_cube(build_cube(make_g0()), cube_dir)
+    if hazard == "meta-is-a-directory":
+        (cube_dir / "meta").unlink()
+        (cube_dir / "meta").mkdir()
+    else:
+        cube_dir = cube_dir / "0.tsv"
+    with pytest.raises(NotMaterializedError, match="no cube meta file"):
+        read_cube_meta(cube_dir)
+    with pytest.raises(NotMaterializedError, match="no cube meta file"):
+        read_cuboid(cube_dir, ["Gender"])
+
+
 class TestReader:
     @pytest.fixture
     def gender(self, tmp_path):
@@ -541,6 +558,17 @@ class TestReader:
         with pytest.raises(CubeFormatError, match=r"0\.tsv: byte 48 is not UTF-8"):
             read_cuboid(gender.parent, ["Gender"])
 
+    def test_crlf_line_ends(self, gender):
+        """A file with \\r\\n line ends is refused with the message that
+        parse_cuboid gives for its bytes."""
+        gender.write_bytes(gender.read_bytes().replace(b"\n", b"\r\n"))
+        message = r"0\.tsv line 1: 'N\\tF\\t3\\r' \(line break inside a record\)"
+        with pytest.raises(CubeFormatError, match=message) as got:
+            read_cuboid(gender.parent, ["Gender"])
+        with pytest.raises(CubeFormatError) as want:
+            parse_cuboid(gender.read_bytes().decode("utf-8"), (0,), gender.name)
+        assert str(got.value) == str(want.value)
+
     def test_section_out_of_order(self, gender):
         with gender.open("a") as f:
             f.write("S\t0\t7\n")
@@ -583,7 +611,7 @@ def test_signature_of_names_or_indices_only(tmp_path, signature):
 
 def parse_now(directory, sig):
     _, path = locate_cuboid(directory, sig)
-    return parse_cuboid(path.read_text(encoding="utf-8"), sig, path.name)
+    return parse_cuboid(path.read_bytes().decode("utf-8"), sig, path.name)
 
 
 def kept_names():
