@@ -177,28 +177,25 @@ class MultidimGraph:
     def dim_count(self) -> int:
         return len(self.dims)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood N(v); never contains v itself."""
+    def _position(self, v: int) -> int:
         try:
-            p = self._pos[v]
+            return self._pos[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex id {v}") from None
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        """Open neighborhood N(v); never contains v itself."""
+        p = self._position(v)
         return frozenset(map(self._ids.__getitem__, chain(self._bwd[p], self._fwd[p])))
 
     def degree(self, v: int) -> int:
-        try:
-            p = self._pos[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex id {v}") from None
+        p = self._position(v)
         return len(self._bwd[p]) + len(self._fwd[p])
 
     def _neighbor_attributes(self, v: int) -> list[tuple[str, ...]]:
         """The attribute tuple of each neighbor of v, one per neighbor; cheaper
         than ``neighbors(v)``, which builds a frozenset."""
-        try:
-            p = self._pos[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex id {v}") from None
+        p = self._position(v)
         ids = chain(self._bwd[p], self._fwd[p])
         return list(map(self.vertices.__getitem__, map(self._ids.__getitem__, ids)))
 
@@ -356,7 +353,7 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
     edge_file = Path(edge_file)
     vlines = _read_text(vertex_file, "vertex").splitlines()
     if not vlines:
-        raise LoadError(f"vertex file {vertex_file} is empty")
+        raise LoadError(f"vertex file {vertex_file}: empty, no header line")
     header = vlines[0].split(",")
     if len(header) < 2 or header[0] != "id":
         raise LoadError(f"vertex file {vertex_file}: header must be 'id,<dim1>,...': got {vlines[0]!r}")

@@ -11,6 +11,7 @@ feeds every level up to 2L. Both strategies must emit identical cubes.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -259,9 +260,6 @@ class _EdgeView(Mapping):
         if self._inside is ne:
             keys = zip(keys, map(values.__getitem__, compress(net.hi, mask)))
         return list(zip(keys, compress(net.weight, mask)))
-
-    def values(self) -> list[int]:  # type: ignore[override]
-        return list(compress(self._net.weight, self._mask()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -591,31 +589,35 @@ def _decode(data: bytes, name: str) -> str:
         raise CubeFormatError(f"{name}: byte {exc.start} is not UTF-8") from None
 
 
-# The last meta bytes read_cube_meta parsed and what they parsed to, replaced
-# in one assignment; a call whose file holds other bytes parses it again.
-_meta_memo: tuple[bytes, dict[str, str | tuple[str, ...]]] | None = None
+def _read_bytes(path: Path, what: str) -> bytes:
+    """The bytes of a cube file; NotMaterializedError naming ``what`` if opening it finds no file."""
+    try:
+        return path.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise NotMaterializedError(f"no {what} in {path.parent}") from None
 
 
 def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
     """The meta of a format-2 cube; ``dims`` is a tuple of names, which the
     dims line holds as tab-separated fields escaped like values.
 
-    The file is read on every call; it is decoded and parsed only when its
-    bytes differ from those the last successful call parsed. Each call
-    returns a new dict. Raises NotMaterializedError without a meta file and
-    CubeFormatError for a malformed meta or another format.
+    The file is read on every call and parsed by _parse_meta, which keeps its
+    last result; each call returns a new dict. Raises NotMaterializedError
+    without a meta file and CubeFormatError for a malformed meta or format.
     """
-    global _meta_memo
     path = Path(directory) / META_NAME
-    try:
-        data = path.read_bytes()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise NotMaterializedError(f"no cube meta file in {directory}") from None
-    memo = _meta_memo
-    if memo is not None and memo[0] == data:
-        return dict(memo[1])
+    return dict(_parse_meta(_read_bytes(path, "cube meta file"), str(path)))
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_meta(data: bytes, path: str) -> dict[str, str | tuple[str, ...]]:
+    """Parse meta's bytes; ``path`` labels errors. The cache keeps the last
+    successful parse, keyed by bytes and path; callers copy the result."""
+    text = _decode(data, META_NAME)
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        raise CubeFormatError(f"{path}: meta holds a line break other than \\n")
     out: dict[str, str | tuple[str, ...]] = {}
-    for line in _decode(data, path.name).splitlines():
+    for line in text.splitlines():
         key, sep, rest = line.partition(",")
         if not sep:
             raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
@@ -634,8 +636,7 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
         out["dims"] = tuple(map(_unescape, str(out["dims"]).split("\t")))
     except ValueError:
         raise CubeFormatError(f"{path}: malformed dimension name in {out['dims']!r}") from None
-    _meta_memo = (data, out)
-    return dict(out)
+    return out
 
 
 def locate_cuboid(
@@ -646,8 +647,8 @@ def locate_cuboid(
     ``signature`` may be dimension names or indices, in any order. Raises
     QueryError unless every entry is a str or every entry is an int (a bool
     is not one), for an unknown, duplicate or out-of-range dimension, and
-    NotMaterializedError when the cube has no file for the cuboid or the
-    cuboid is above the cube's max_level (a file left by an earlier cube).
+    NotMaterializedError above the cube's max_level (a file left by an earlier
+    cube). It does not check the file; the read that opens it does.
     """
     directory = Path(directory)
     meta = read_cube_meta(directory)
@@ -664,7 +665,7 @@ def locate_cuboid(
     else:
         raise QueryError(f"invalid signature {signature!r}: not all dimension names or all dimension indices")
     path = directory / _cuboid_filename(sig)
-    if len(sig) > int(meta["max_level"]) or not path.is_file():
+    if len(sig) > int(meta["max_level"]):
         raise NotMaterializedError(
             f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized"
         )
@@ -674,12 +675,12 @@ def locate_cuboid(
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved by locate_cuboid() and the file is read in full
-    on every call. Its bytes are decoded, checked and parsed by
-    parse_cuboid(), unless the network parsed from identical bytes is kept
-    (see _OpenCube), so the result always equals parse_cuboid() of the file
-    as it is now. Each call returns a new network, with its own nodes list
-    and columns.
+    ``signature`` is resolved by locate_cuboid(). The file is read in full on
+    every call; that one open raises NotMaterializedError for a missing file.
+    Its bytes are decoded, checked and parsed by parse_cuboid(), unless the
+    network parsed from identical bytes is kept (see _OpenCube), so the
+    result always equals parse_cuboid() of the file as it is now. Each call
+    returns a new network, with its own nodes list and columns.
     """
     sig, path = locate_cuboid(directory, signature)
     return _open_cube.read(path, sig)[1]
@@ -712,7 +713,7 @@ class _OpenCube:
 
     def read(self, path: Path, sig: tuple[int, ...]) -> tuple[bytes, AggregateNetwork]:
         """The file's bytes and a network of its own parsed from them."""
-        data, name = path.read_bytes(), path.name
+        data, name = _read_bytes(path, f"cuboid file {path.name}"), path.name
         with self._lock:
             if path.parent != self._directory:
                 self._directory, self._reads, self._kept = path.parent, {}, {}

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from graphcube import load_graph, read_cuboid
+from graphcube import engine, load_graph, read_cuboid
 from graphcube.cli import main
 from tests.test_engine import build_cube
 
@@ -198,6 +198,36 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no cube meta file" in captured.err
+
+    @pytest.mark.parametrize("hazard", ["deleted-after-locate", "directory"])
+    def test_no_cuboid_file(self, cube_dir, monkeypatch, hazard, capsys):
+        """The read's one open decides: a cuboid file deleted after
+        locate_cuboid resolved it, or a directory at its name, is no cuboid."""
+        path = cube_dir / "0.tsv"  # Gender
+        if hazard == "deleted-after-locate":
+            locate = engine.locate_cuboid
+
+            def locate_then_delete(directory, signature):
+                found = locate(directory, signature)
+                found[1].unlink()
+                return found
+
+            monkeypatch.setattr("graphcube.cli.locate_cuboid", locate_then_delete)
+        else:
+            path.unlink()
+            path.mkdir()
+        assert run("query", cube_dir, "--dims", "Gender") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no cuboid file 0.tsv in {cube_dir}" in captured.err
+
+    def test_crlf_meta(self, cube_dir, capsys):
+        meta = cube_dir / "meta"
+        meta.write_bytes(meta.read_bytes().replace(b"\n", b"\r\n"))
+        assert run("query", cube_dir, "--dims", "Gender") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{meta}: meta holds a line break other than \\n" in captured.err
 
     def test_blank_meta_line(self, cube_dir, capsys):
         with (cube_dir / "meta").open("a") as f:

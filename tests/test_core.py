@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,7 @@ class TestLoadGraph:
     @pytest.mark.parametrize(
         "vertices, edges, bad",
         [
+            ("", "", "v"),
             ("vid,D\n1,x\n", "", "v"),
             ("id,D\nx,a\n", "", "v"),
             ("id,D\n-1,a\n", "", "v"),
@@ -87,7 +89,7 @@ class TestLoadGraph:
             ("id,D\n1,a\n2,b\n", "1,x\n", "e"),
             ("id,D\n1,a\n2,b\n", "1,2\n1,9\n", "e"),
         ],
-        ids=["header", "id-not-integer", "negative-id", "ragged-row", "duplicate-id", "empty-value",
+        ids=["empty", "header", "id-not-integer", "negative-id", "ragged-row", "duplicate-id", "empty-value",
              "edge-fields", "edge-endpoint", "unknown-vertex"],
     )
     def test_error_names_its_file(self, tmp_path, vertices, edges, bad):
@@ -345,6 +347,23 @@ class TestNeighbors:
                 assert v in g0.neighbors(u)
 
 
+@pytest.mark.parametrize(
+    "dims, vertices, edges, match",
+    [
+        (("D",), {1: ("x",), 2: ("y",)}, [(1, 1)], "self-loop on vertex 1"),
+        (("D",), {1: ("x",), 2: ("y",)}, [(2, 1)], r"edge \(2,1\) not normalized"),
+        (("D",), {1: ("x",), 2: ("y",)}, [(1, 3)], r"edge \(1,3\) references unknown vertex"),
+        (("D", "D"), {1: ("x", "y")}, [], "dimension names must be unique"),
+        (("D", "E"), {1: ("x", "y"), 2: ("z",)}, [], "vertex 2: expected 2 attributes, got 1"),
+        (("D",), {1: ("x",), 2: ("",)}, [], "vertex 2: empty attribute value"),
+    ],
+    ids=["self-loop", "unnormalized-pair", "unknown-endpoint", "repeated-dimension", "attribute-count", "empty-value"],
+)
+def test_constructor_refusals(dims, vertices, edges, match):
+    with pytest.raises(ParameterError, match=match):
+        MultidimGraph(dims=dims, vertices=vertices, edges=edges)
+
+
 class TestGenerateSynthetic:
     def test_determinism(self):
         p = GenParams(vertex_count=10, edge_count=15, dim_count=2, cardinality=3, seed=42)
@@ -371,6 +390,23 @@ class TestGenerateSynthetic:
     def test_infeasible_edge_count(self):
         p = GenParams(vertex_count=10, edge_count=100, dim_count=2, cardinality=2, seed=0)
         with pytest.raises(ParameterError):
+            generate_synthetic(p)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"vertex_count": 0}, "vertex_count must be >= 1 and edge_count >= 0"),
+            ({"edge_count": -1}, "vertex_count must be >= 1 and edge_count >= 0"),
+            ({"dim_count": 0}, "dim_count and cardinality must be >= 1"),
+            ({"cardinality": 0}, "dim_count and cardinality must be >= 1"),
+            ({"hub_fraction": 1.5}, r"hub_fraction must be in \[0, 1\]"),
+            ({"hub_fraction": 1.0}, "edge_count too small for the planted hub clique"),
+        ],
+        ids=["no-vertices", "negative-edges", "no-dimensions", "no-values", "hub-fraction", "hub-clique"],
+    )
+    def test_parameters_refused(self, change, match):
+        p = replace(GenParams(vertex_count=10, edge_count=15, dim_count=2, cardinality=3), **change)
+        with pytest.raises(ParameterError, match=match):
             generate_synthetic(p)
 
 

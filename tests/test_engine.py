@@ -243,6 +243,24 @@ class TestQuery:
         with pytest.raises(QueryError, match="invalid signature"):
             read_cuboid(tmp_path, [])
 
+    @pytest.mark.parametrize(
+        "signature, match",
+        [
+            (["Gender", "Gender"], "duplicate dimension in query"),
+            ([2], r"dimension index out of range in \[2\]"),
+            ([-1, 0], r"dimension index out of range in \[-1, 0\]"),
+        ],
+        ids=["repeated-name", "index-too-large", "negative-index"],
+    )
+    def test_signature_refused(self, tmp_path, g0, signature, match):
+        cube = build_cube(g0)
+        write_cube(cube, tmp_path)
+        with pytest.raises(QueryError, match=match):
+            read_cuboid(tmp_path, signature)
+        if all(isinstance(d, str) for d in signature):
+            with pytest.raises(QueryError, match=match):
+                query_cuboid(cube, signature)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path, g0):
@@ -259,12 +277,17 @@ class TestSerialization:
         assert net == cube.cuboids[(0, 1)]
 
     def test_deterministic_bytes(self, tmp_path, g0):
+        """Every file, meta too once its level lines (wall-clock timings) are
+        left out."""
         for name in ("a", "b"):
             write_cube(build_cube(g0), tmp_path / name)
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(p.name for p in (tmp_path / "b").iterdir())
         for f in sorted((tmp_path / "a").iterdir()):
+            a, b = f.read_bytes(), (tmp_path / "b" / f.name).read_bytes()
             if f.name == "meta":
-                continue  # carries wall-clock timings
-            assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+                a, b = (b"".join(x for x in d.splitlines(True) if not x.startswith(b"level,")) for d in (a, b))
+                assert a.startswith(b"format,2\n") and b"\nnodes_emitted," in a
+            assert a == b
 
     def test_missing_cuboid(self, tmp_path, g0):
         write_cube(build_cube(g0, max_level=1), tmp_path / "cube")
@@ -525,6 +548,19 @@ class TestEdgeColumns:
         assert rebuilt == net  # a pair given in both orientations is summed
         with pytest.raises(ValueError, match="names no cell"):
             AggregateNetwork(net.signature, net.nodes, self_edges={("X",): 1})
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ({"cross_edges": {(("M",), ("X",)): 1}}, r"edge weight names no cell: \('X',\)"),
+            ({"cross_edges": {(("M",), ("M",)): 1}}, r"cross-edge key .* names one cell twice"),
+        ],
+        ids=["cross-key-names-no-cell", "cross-key-names-one-cell-twice"],
+    )
+    def test_dict_constructor_refuses(self, g0, weights, match):
+        net = build_cube(g0).cuboids[(0,)]
+        with pytest.raises(ValueError, match=match):
+            AggregateNetwork(net.signature, net.nodes, **weights)
 
     def test_retained_memory(self):
         """Every cuboid's weights are columns, and comparing views leaves

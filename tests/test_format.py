@@ -4,6 +4,7 @@ refusals, and a failed write."""
 import functools
 import hashlib
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -498,6 +499,54 @@ def test_no_meta_file_is_not_materialized(tmp_path, hazard):
         read_cuboid(cube_dir, ["Gender"])
 
 
+@pytest.mark.parametrize("hazard", ["deleted", "deleted-after-locate", "directory"])
+def test_no_cuboid_file_is_not_materialized(tmp_path, monkeypatch, hazard):
+    """Within max_level, the read's one open decides whether a cuboid is
+    there, also for a kept cuboid: a file deleted before the read or after
+    locate_cuboid resolved it, or a directory at its name, holds none."""
+    write_cube(build_cube(make_g0()), tmp_path)
+    for _ in range(2):
+        read_cuboid(tmp_path, ["Gender"])
+    assert "0.tsv" in kept_names()
+    path = tmp_path / "0.tsv"
+    if hazard == "deleted-after-locate":
+        locate = engine.locate_cuboid
+
+        def locate_then_delete(directory, signature):
+            found = locate(directory, signature)
+            found[1].unlink()
+            return found
+
+        monkeypatch.setattr(engine, "locate_cuboid", locate_then_delete)
+    else:
+        path.unlink()
+        if hazard == "directory":
+            path.mkdir()
+    with pytest.raises(NotMaterializedError, match=re.escape(f"no cuboid file 0.tsv in {tmp_path}") + "$"):
+        read_cuboid(tmp_path, ["Gender"])
+    assert not path.is_file()
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        (b"\n", b"\r\n", r"meta holds a line break other than \\n"),
+        (b"\n", b"\x1e", r"meta holds a line break other than \\n"),
+        (b"dims,Gender", b"dims,Gender\\x4", r"malformed dimension name in 'Gender\\\\x4\\tCity'"),
+    ],
+    ids=["crlf-line-ends", "record-separator", "bad-dims-escape"],
+)
+def test_meta_refused(tmp_path, old, new, match):
+    """meta follows the line rule of cuboid files: lines end in \\n alone."""
+    write_cube(build_cube(make_g0()), tmp_path)
+    meta = tmp_path / "meta"
+    meta.write_bytes(meta.read_bytes().replace(old, new))
+    with pytest.raises(CubeFormatError, match=re.escape(f"{tmp_path / 'meta'}: ") + match):
+        read_cube_meta(tmp_path)
+    with pytest.raises(CubeFormatError, match=match):
+        read_cuboid(tmp_path, ["Gender"])
+
+
 class TestReader:
     @pytest.fixture
     def gender(self, tmp_path):
@@ -544,8 +593,9 @@ class TestReader:
             ("N\tM\t3", "N\tF\t3", "line 2: .*repeated"),
             ("N\tF\t3", "N\tF\\x4\t3", "line 1: .*escape"),
             ("S\t1\t1", "S\t-1\t1", "line 3: .*names no N record"),
+            ("N\tF\t3", "N\tF\t3,1", r"line 1: 'N\\tF\\t3,1' \(not an integer\)"),
         ],
-        ids=["n-out-of-order", "repeated-n", "bad-escape", "negative-cell"],
+        ids=["n-out-of-order", "repeated-n", "bad-escape", "negative-cell", "count-holds-comma"],
     )
     def test_n_and_cell_numbers_refused(self, gender, old, new, match):
         gender.write_text(gender.read_text().replace(old, new))

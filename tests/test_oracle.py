@@ -2,6 +2,7 @@ import pytest
 
 from graphcube import (
     AggregateNetwork,
+    AggregateNode,
     GenParams,
     MultidimGraph,
     ParameterError,
@@ -98,6 +99,33 @@ class TestCompare:
         diff2 = compare(b, a)
         assert any(label == "|".join(dropped.values) for _, label, _ in diff2.extra_nodes)
         assert not diff2.missing_nodes
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_cuboid_in_one_cube_only(self, g0, side):
+        a, b = oracle_cube(g0), oracle_cube(g0)
+        del (b if side == "first" else a).cuboids[(0, 1)]
+        diff = compare(a, b)
+        found = diff.missing_nodes if side == "first" else diff.extra_nodes
+        assert found == [((0, 1), "*", f"cuboid only in {side} cube")]
+        assert not (diff.extra_nodes if side == "first" else diff.missing_nodes)
+        assert not diff.member_mismatches and not diff.weight_mismatches
+
+    def test_member_list_mismatch(self, g0):
+        a, b = oracle_cube(g0), oracle_cube(g0)
+        net = b.cuboids[(0,)]
+        first, second = net.nodes
+        # The first member of F moves to M; no edge weight changes.
+        moved = (
+            AggregateNode(first.values, first.members[1:]),
+            AggregateNode(second.values, second.members + first.members[:1]),
+        )
+        b.cuboids[(0,)] = AggregateNetwork(
+            net.signature, list(moved), dict(net.self_edges.items()), dict(net.cross_edges.items())
+        )
+        diff = compare(a, b)
+        assert [(sig, label) for sig, label, _ in diff.member_mismatches] == [((0,), "F"), ((0,), "M")]
+        assert diff.member_mismatches[0][2] == f"members {list(first.members)} != {list(moved[0].members)}"
+        assert not diff.missing_nodes and not diff.extra_nodes and not diff.weight_mismatches
 
     def test_fingerprint_mismatch_refused(self, g0):
         other = MultidimGraph(

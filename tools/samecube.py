@@ -8,8 +8,8 @@ commit and the working tree. The input graph of every workload in CHANGE's
 CHANGE's ``perfbench/gen.py``. Each checkout then builds a cube from each
 input with ``graphcube cube``, in its own subprocess, under both strategies
 and the policies ``none`` and ``ss-mean``: 12 cubes per checkout for three
-workloads. Every cuboid file is compared byte for byte; ``meta`` is left out,
-since it holds the build's timings.
+workloads. Every file is compared byte for byte, ``meta`` without its
+``level,`` lines, which hold the build's wall-clock timings.
 
 One line is printed per cube. The exit code is 1 if any cube differs between
 the checkouts or any build fails, and 0 otherwise. Everything is written to a
@@ -48,11 +48,19 @@ def build(checkout: Path, graph: Path, out: Path, strategy: str, policy: str) ->
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
 
 
+def contents(path: Path) -> bytes:
+    """A cube file's bytes; for meta, without its ``level,`` (timing) lines."""
+    data = path.read_bytes()
+    if path.name == "meta":
+        data = b"".join(line for line in data.splitlines(True) if not line.startswith(b"level,"))
+    return data
+
+
 def differences(a: Path, b: Path) -> list[str]:
-    """Names of the cuboid files that are not byte-identical in both cubes."""
-    names = {f.name for d in (a, b) for f in d.iterdir()} - {"meta"}
+    """Names of the files that are not the same in both cubes."""
+    names = {f.name for d in (a, b) for f in d.iterdir()}
     return sorted(n for n in names if not ((a / n).is_file() and (b / n).is_file()
-                                           and (a / n).read_bytes() == (b / n).read_bytes()))
+                                           and contents(a / n) == contents(b / n)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,10 +91,11 @@ def main(argv: list[str] | None = None) -> int:
                     diff = differences(*outs)
                     files = sum(1 for f in outs[1].iterdir() if f.name != "meta")
                     if diff:
-                        print(f"{label}: {len(diff)} of {files} cuboid files DIFFER: {' '.join(diff[:8])}", flush=True)
+                        print(f"{label}: {len(diff)} of {files} cuboid files and meta DIFFER: {' '.join(diff[:8])}",
+                              flush=True)
                         failures += 1
                     else:
-                        print(f"{label}: {files} cuboid files identical", flush=True)
+                        print(f"{label}: {files} cuboid files and meta identical", flush=True)
     return 1 if failures else 0
 
 
