@@ -394,9 +394,11 @@ def load_graph(vertex_file: str | Path, edge_file: str | Path) -> MultidimGraph:
     return g
 
 
-# What one field of a vertex CSV cannot hold: a comma, a line break of
-# str.splitlines(), or a lone surrogate, which UTF-8 cannot encode.
-_NOT_IN_FIELD = re.compile("[,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800-\udfff]")
+# The line breaks of str.splitlines(), in code point order.
+LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+# What one field of a vertex CSV cannot hold: a comma, a line break, or a lone
+# surrogate, which UTF-8 cannot encode.
+_NOT_IN_FIELD = re.compile(f"[,{LINE_BREAKS}\ud800-\udfff]")
 
 
 def write_graph(g: MultidimGraph, vertex_file: str | Path, edge_file: str | Path) -> None:

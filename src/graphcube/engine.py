@@ -6,7 +6,8 @@ of level k >= 2 is then built by exactly one join: the cells of its length-p
 prefix cuboid intersected with the cells of its length-p suffix cuboid. The
 two strategies differ only in the level p that each target is read from:
 level-by-level reads level k-1, steps-up reads level ceil(k/2), so each level L
-feeds every level up to 2L. Both strategies must emit identical cubes.
+feeds every level up to 2L. Both strategies must emit identical cubes. Each
+cuboid's edges are counted as soon as it is joined, into the cube being built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import add, attrgetter, eq, lt, mul, ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import InvertedIndex, MultidimGraph
+from .core import LINE_BREAKS, InvertedIndex, MultidimGraph
 from .errors import (
     CubeFormatError,
     NotMaterializedError,
@@ -143,9 +144,7 @@ class AggregateNetwork:
                     rows[i, j] = rows.get((i, j), 0) + w
             except KeyError as exc:
                 raise ValueError(f"edge weight names no cell: {exc.args[0]!r}") from None
-        self.lo = array("i", [i for i, _ in rows])
-        self.hi = array("i", [j for _, j in rows])
-        self.weight = array("q", rows.values())
+        self.lo, self.hi, self.weight = _columns(rows)
 
     @classmethod
     def _from_columns(
@@ -199,6 +198,12 @@ class AggregateNetwork:
             f"AggregateNetwork(signature={self.signature!r}, nodes={self.nodes!r}, "
             f"self_edges={dict(self.self_edges.items())!r}, cross_edges={dict(self.cross_edges.items())!r})"
         )
+
+
+def _columns(rows: dict[tuple[int, int], int]) -> tuple[array, array, array]:
+    """The lo, hi and weight columns of {(lo, hi): weight}, in the dict's order.
+    Each is made from a list, so it is allocated at its final size."""
+    return array("i", [i for i, _ in rows]), array("i", [j for _, j in rows]), array("q", list(rows.values()))
 
 
 class _EdgeView(Mapping):
@@ -357,13 +362,7 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
         if cu > cw:
             key = (cw, cu)
         rows[key] = rows.get(key, 0) + n
-    return AggregateNetwork._from_columns(
-        net.signature,
-        nodes,
-        array("i", [i for i, _ in rows]),
-        array("i", [j for _, j in rows]),
-        array("q", list(rows.values())),
-    )
+    return AggregateNetwork._from_columns(net.signature, nodes, *_columns(rows))
 
 
 def _join(
@@ -409,7 +408,12 @@ def compute_cube(
     strategy: Strategy = Strategy.LEVEL_BY_LEVEL,
     max_level: int | None = None,
 ) -> GraphCube:
-    """Materialize every canonical cuboid of size <= max_level."""
+    """Materialize every canonical cuboid of size <= max_level, level by level.
+
+    Each cuboid is joined from cuboids already in the cube, and its edges are
+    counted, before the next one starts; a B-side map lives for one level.
+    A level's timing covers its joins and edge counts, level 1's also the grouping.
+    """
     n = g.dim_count
     if max_level is None:
         max_level = n
@@ -424,43 +428,36 @@ def compute_cube(
         dims=g.dims,
     )
 
-    t0 = time.perf_counter()
-    # signature -> its nodes in value-tuple order, levels ascending. A fully pruned
-    # dimension still emits its (empty) level-1 cuboid.
-    store: dict[tuple[int, ...], list[AggregateNode]] = {(d,): [] for d in range(n)}
-    store.update(level1_nodes(idx, table))
-    meta.timings.append((1, (time.perf_counter() - t0) * 1000.0))
-
-    cells: dict[tuple[int, ...], dict[int, int]] = {}  # B side: {vertex: cell number}
-    for k in range(2, max_level + 1):
-        # Prefix and suffix of length p cover every level-k signature: 2p >= k.
-        p = k - 1 if strategy is Strategy.LEVEL_BY_LEVEL else (k + 1) // 2
-        t0 = time.perf_counter()
-        for sig in combinations(range(n), k):
-            meta.combines_attempted += 1
-            b_sig = sig[k - p:]
-            if b_sig not in cells:
-                cells[b_sig] = {v: i for i, nd in enumerate(store[b_sig]) for v in nd.members}
-            store[sig] = _join(store[sig[:p]], store[b_sig], cells[b_sig], 2 * p - k)
-        meta.timings.append((k, (time.perf_counter() - t0) * 1000.0))
-
-    del cells
     # A vertex is in a cell of cuboid S iff its value is kept on every dimension
     # of S, so the forward edges are grouped once by the dimensions on which
     # both endpoints keep their values, and each cuboid counts only its groups.
+    t0 = time.perf_counter()
+    level1 = level1_nodes(idx, table)
     pos, fwd = g.forward_adjacency()
     kept = [0] * len(fwd)
-    for d in range(n):
-        for node in store[(d,)]:
-            for v in node.members:
-                kept[pos[v]] |= 1 << d
+    for (d,), nodes in level1.items():
+        for v in chain.from_iterable(map(_members, nodes)):
+            kept[pos[v]] |= 1 << d
     groups = _edge_groups(fwd, kept)
-    del kept
 
-    cuboids: dict[tuple[int, ...], AggregateNetwork] = {}
-    for sig, nodes in store.items():
-        meta.nodes_emitted += len(nodes)
-        cuboids[sig] = aggregate_edges(g, _BuildNetwork(sig, nodes, groups))
+    cuboids: dict[tuple[int, ...], AggregateNetwork] = {}  # levels ascending
+    for k in range(1, max_level + 1):
+        # Prefix and suffix of length p cover every level-k signature: 2p >= k.
+        p = k - 1 if strategy is Strategy.LEVEL_BY_LEVEL else (k + 1) // 2
+        cells: dict[tuple[int, ...], dict[int, int]] = {}  # B side: {vertex: cell number}
+        for sig in combinations(range(n), k):
+            if k == 1:  # a fully pruned dimension still emits its empty cuboid
+                nodes = level1.get(sig, [])
+            else:
+                meta.combines_attempted += 1
+                b_sig = sig[k - p:]
+                if b_sig not in cells:
+                    cells[b_sig] = {v: i for i, nd in enumerate(cuboids[b_sig].nodes) for v in nd.members}
+                nodes = _join(cuboids[sig[:p]].nodes, cuboids[b_sig].nodes, cells[b_sig], 2 * p - k)
+            meta.nodes_emitted += len(nodes)
+            cuboids[sig] = aggregate_edges(g, _BuildNetwork(sig, nodes, groups))
+        t0, start = time.perf_counter(), t0
+        meta.timings.append((k, (t0 - start) * 1000.0))
     return GraphCube(cuboids=cuboids, meta=meta)
 
 
@@ -741,7 +738,7 @@ _open_cube = _OpenCube()
 _KINDS = "NSEM"
 # The line breaks of str.splitlines() other than "\n". The writer escapes values
 # holding one, so no record of a written file contains one.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_OTHER_BREAKS = LINE_BREAKS.replace("\n", "")
 
 
 def _widths(level: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from graphcube import (
     load_graph_with_report,
     write_graph,
 )
-from graphcube.core import HUB_VALUE, LoadReport, MultidimGraph
+from graphcube.core import HUB_VALUE, LINE_BREAKS, LoadReport, MultidimGraph
 
 from conftest import G0_DIMS, G0_EDGES, G0_VERTICES
 
@@ -179,6 +180,13 @@ def test_loader_matches_reference(tmp_path, lines, newline, trailing):
     g, report = load_graph_with_report(vfile, efile)
     assert (g, report) == expected
     assert g.fingerprint() == expected[0].fingerprint()
+
+
+def test_line_breaks_are_those_of_splitlines():
+    """LINE_BREAKS, which the vertex-field check and the cube reader both use,
+    is every code point that str.splitlines() breaks a line at."""
+    breaks = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if len(("x" + c + "x").splitlines()) == 2)
+    assert LINE_BREAKS == breaks
 
 
 def test_load_memory(tmp_path):

@@ -1,6 +1,9 @@
+import re
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,26 @@ class TestStrategies:
         cube = build_cube(g, strategy=strategy, max_level=max_level)
         assert [k for k, _ in cube.meta.timings] == list(range(1, max_level + 1))
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_level_timings_cover_edge_counting(self, monkeypatch, strategy):
+        """On a clock that moves only while a cuboid's edges are counted, one
+        second per cuboid, each level's timing is one second per cuboid of
+        that level."""
+        g = generate_synthetic(
+            GenParams(vertex_count=40, edge_count=80, dim_count=4, cardinality=2, seed=5)
+        )
+        clock = [0.0]
+        original = engine.aggregate_edges
+
+        def counted(g, net, /):
+            clock[0] += 1.0
+            return original(g, net)
+
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(engine, "aggregate_edges", counted)
+        cube = build_cube(g, strategy=strategy)
+        assert cube.meta.timings == [(k, 1000.0 * comb(4, k)) for k in range(1, 5)]
+
     @pytest.mark.parametrize("policy", ["none", "ss-mean", "support"])
     def test_equivalence_on_seeded_graphs(self, policy):
         for seed in range(8):
@@ -277,16 +300,17 @@ class TestSerialization:
         assert net == cube.cuboids[(0, 1)]
 
     def test_deterministic_bytes(self, tmp_path, g0):
-        """Every file, meta too once its level lines (wall-clock timings) are
-        left out."""
+        """Every file, meta too once each level line is cut to its label: the
+        milliseconds are wall-clock timings."""
         for name in ("a", "b"):
             write_cube(build_cube(g0), tmp_path / name)
         assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(p.name for p in (tmp_path / "b").iterdir())
         for f in sorted((tmp_path / "a").iterdir()):
             a, b = f.read_bytes(), (tmp_path / "b" / f.name).read_bytes()
             if f.name == "meta":
-                a, b = (b"".join(x for x in d.splitlines(True) if not x.startswith(b"level,")) for d in (a, b))
+                a, b = (re.sub(rb"(?m)^(level,\d+),.*$", rb"\1", d) for d in (a, b))
                 assert a.startswith(b"format,2\n") and b"\nnodes_emitted," in a
+                assert a.endswith(b"\nlevel,1\nlevel,2\n")
             assert a == b
 
     def test_missing_cuboid(self, tmp_path, g0):

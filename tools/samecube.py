@@ -8,8 +8,9 @@ commit and the working tree. The input graph of every workload in CHANGE's
 CHANGE's ``perfbench/gen.py``. Each checkout then builds a cube from each
 input with ``graphcube cube``, in its own subprocess, under both strategies
 and the policies ``none`` and ``ss-mean``: 12 cubes per checkout for three
-workloads. Every file is compared byte for byte, ``meta`` without its
-``level,`` lines, which hold the build's wall-clock timings.
+workloads. Every file is compared byte for byte, ``meta`` with each
+``level,<k>,<millis>`` line cut to ``level,<k>``: the milliseconds are the
+build's wall-clock timings, but a lost or repeated level line still differs.
 
 One line is printed per cube. The exit code is 1 if any cube differs between
 the checkouts or any build fails, and 0 otherwise. Everything is written to a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,10 +51,10 @@ def build(checkout: Path, graph: Path, out: Path, strategy: str, policy: str) ->
 
 
 def contents(path: Path) -> bytes:
-    """A cube file's bytes; for meta, without its ``level,`` (timing) lines."""
+    """A cube file's bytes; for meta, each level line without its milliseconds."""
     data = path.read_bytes()
     if path.name == "meta":
-        data = b"".join(line for line in data.splitlines(True) if not line.startswith(b"level,"))
+        data = re.sub(rb"(?m)^(level,\d+),.*$", rb"\1", data)
     return data
 
 
