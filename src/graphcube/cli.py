@@ -19,7 +19,7 @@ from .engine import (
     write_cube,
 )
 from .errors import CubeFormatError, LoadError, NotMaterializedError, ParameterError, QueryError
-from .measures import PrunePolicy, apply_policy, significance_table, write_significance_csv
+from .measures import POLICY_KINDS, PrunePolicy, apply_policy, significance_table, write_significance_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,7 +30,7 @@ STRATEGIES = {"level": Strategy.LEVEL_BY_LEVEL, "steps": Strategy.STEPS_UP}
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=["none", "ss-mean", "support"], default="ss-mean")
+    p.add_argument("--policy", choices=POLICY_KINDS, default="ss-mean")
     p.add_argument("--min-support", type=int, default=None,
                    help="smallest support a value keeps under --policy support (default 1)")
 
@@ -125,8 +125,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_cube(args: argparse.Namespace) -> int:
     g, idx, table = _load_pipeline(args)
-    max_level = args.max_level if args.max_level else g.dim_count
-    cube = compute_cube(g, idx, table, strategy=STRATEGIES[args.strategy], max_level=max_level)
+    cube = compute_cube(g, idx, table, strategy=STRATEGIES[args.strategy], max_level=args.max_level or None)
     write_cube(cube, args.out_dir)
     by_level: dict[int, int] = {}
     for sig, net in cube.cuboids.items():

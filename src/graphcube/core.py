@@ -396,9 +396,17 @@ def load_graph(vertex_file: str | Path, edge_file: str | Path) -> MultidimGraph:
 
 # The line breaks of str.splitlines(), in code point order.
 LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
-# What one field of a vertex CSV cannot hold: a comma, a line break, or a lone
+# What one field of a CSV file cannot hold: a comma, a line break, or a lone
 # surrogate, which UTF-8 cannot encode.
 _NOT_IN_FIELD = re.compile(f"[,{LINE_BREAKS}\ud800-\udfff]")
+
+
+def _refuse_unwritable(texts: Iterable[str], what: str) -> None:
+    """ParameterError naming ``what`` and the first of ``texts`` that one CSV
+    field cannot hold."""
+    bad = next(filter(_NOT_IN_FIELD.search, texts), None)
+    if bad is not None:
+        raise ParameterError(f"{what} {bad!r} holds a comma, a line break or a lone surrogate")
 
 
 def write_graph(g: MultidimGraph, vertex_file: str | Path, edge_file: str | Path) -> None:
@@ -410,17 +418,13 @@ def write_graph(g: MultidimGraph, vertex_file: str | Path, edge_file: str | Path
     """
     if not g.dims:
         raise ParameterError("a graph without dimensions has no vertex file header")
-    for name in g.dims:
-        if _NOT_IN_FIELD.search(name):
-            raise ParameterError(f"dimension name {name!r} holds a comma, a line break or a lone surrogate")
+    _refuse_unwritable(g.dims, "dimension name")
     vlines = ["id," + ",".join(g.dims)]
     for vid in sorted(g.vertices):
         if vid < 0:
             raise ParameterError(f"vertex {vid}: negative id")
         values = g.vertices[vid]
-        bad = next(filter(_NOT_IN_FIELD.search, values), None)
-        if bad is not None:
-            raise ParameterError(f"vertex {vid}: value {bad!r} holds a comma, a line break or a lone surrogate")
+        _refuse_unwritable(values, f"vertex {vid}: value")
         vlines.append(f"{vid}," + ",".join(values))
     Path(vertex_file).write_text("\n".join(vlines) + "\n", encoding="utf-8")
     elines = [f"{u},{w}" for u, w in g.edges]  # in ascending order

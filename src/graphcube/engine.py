@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import chain, combinations, compress, count, repeat
 from operator import add, attrgetter, eq, lt, mul, ne
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import LINE_BREAKS, InvertedIndex, MultidimGraph
 from .errors import (
@@ -415,11 +415,7 @@ def compute_cube(
     A level's timing covers its joins and edge counts, level 1's also the grouping.
     """
     n = g.dim_count
-    if max_level is None:
-        max_level = n
-    if not 1 <= max_level <= n:
-        raise ParameterError(f"max_level must be in [1, {n}], got {max_level}")
-
+    max_level = _top_level(n, max_level)
     meta = CubeMeta(
         fingerprint=g.fingerprint(),
         policy=table.policy,
@@ -461,28 +457,48 @@ def compute_cube(
     return GraphCube(cuboids=cuboids, meta=meta)
 
 
-def _resolve_signature(dims: tuple[str, ...], names: Iterable[str]) -> tuple[int, ...]:
-    indices = []
-    for name in names:
-        if name not in dims:
-            raise QueryError(f"unknown dimension {name}")
-        indices.append(dims.index(name))
+def _top_level(n: int, max_level: int | None) -> int:
+    """The top level of a cube over n dimensions: max_level, n for None.
+    ParameterError outside [1, n]."""
+    if max_level is not None and not 1 <= max_level <= n:
+        raise ParameterError(f"max_level must be in [1, {n}], got {max_level}")
+    return n if max_level is None else max_level
+
+
+def _canonical_signature(
+    dims: tuple[str, ...], max_level: int, signature: Sequence[str] | Sequence[int]
+) -> tuple[int, ...]:
+    """The canonical signature of a lookup in a cube over ``dims``: ``signature``
+    is all dimension names or all int indices (a bool is not one), in any order.
+    QueryError for a bare str, a mix, an empty signature and an unknown, repeated
+    or out-of-range dimension; NotMaterializedError above max_level."""
+    if isinstance(signature, str):
+        raise QueryError(f"invalid signature {signature!r}: a str, not a sequence of dimensions")
+    if signature and all(isinstance(d, str) for d in signature):
+        indices = []
+        for name in signature:
+            if name not in dims:
+                raise QueryError(f"unknown dimension {name}")
+            indices.append(dims.index(name))
+    elif all(isinstance(d, int) and not isinstance(d, bool) for d in signature):
+        indices = list(signature)  # type: ignore[arg-type]
+        if not all(0 <= d < len(dims) for d in indices):
+            raise QueryError(f"dimension index out of range in {signature}")
+    else:
+        raise QueryError(f"invalid signature {signature!r}: not all dimension names or all dimension indices")
     if not indices:
         raise QueryError("invalid signature: no dimension")
-    if len(set(indices)) != len(indices):
+    sig = tuple(sorted(indices))
+    if len(set(sig)) != len(sig):
         raise QueryError("duplicate dimension in query")
-    return tuple(sorted(indices))
+    if len(sig) > max_level:
+        raise NotMaterializedError(f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized")
+    return sig
 
 
-def query_cuboid(cube: GraphCube, dims: Sequence[str]) -> AggregateNetwork:
-    """Look up one cuboid by dimension names; name order is irrelevant."""
-    sig = _resolve_signature(cube.meta.dims, dims)
-    net = cube.cuboids.get(sig)
-    if net is None:
-        raise NotMaterializedError(
-            f"cuboid {{{','.join(cube.meta.dims[d] for d in sig)}}} is not materialized"
-        )
-    return net
+def query_cuboid(cube: GraphCube, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
+    """Look up one cuboid by the rule read_cuboid follows (_canonical_signature)."""
+    return cube.cuboids[_canonical_signature(cube.meta.dims, cube.meta.max_level, signature)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,37 +652,18 @@ def _parse_meta(data: bytes, path: str) -> dict[str, str | tuple[str, ...]]:
     return out
 
 
-def locate_cuboid(
-    directory: str | Path, signature: Sequence[str] | Sequence[int]
-) -> tuple[tuple[int, ...], Path]:
+def locate_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> tuple[tuple[int, ...], Path]:
     """Resolve a cuboid of a cube directory to its canonical signature and file.
 
-    ``signature`` may be dimension names or indices, in any order. Raises
-    QueryError unless every entry is a str or every entry is an int (a bool
-    is not one), for an unknown, duplicate or out-of-range dimension, and
-    NotMaterializedError above the cube's max_level (a file left by an earlier
-    cube). It does not check the file; the read that opens it does.
+    ``signature`` follows _canonical_signature, with the cube's meta giving
+    the dimensions and max_level, so a file left by an earlier cube above
+    max_level is not materialized. It does not check the file; the read
+    that opens it does.
     """
     directory = Path(directory)
     meta = read_cube_meta(directory)
-    dims = meta["dims"]
-    assert isinstance(dims, tuple)
-    if signature and all(isinstance(d, str) for d in signature):
-        sig = _resolve_signature(dims, signature)  # type: ignore[arg-type]
-    elif all(isinstance(d, int) and not isinstance(d, bool) for d in signature):
-        sig = tuple(sorted(signature))  # type: ignore[arg-type]
-        if not all(0 <= d < len(dims) for d in sig):
-            raise QueryError(f"dimension index out of range in {signature}")
-        if not lws_valid(sig):
-            raise QueryError(f"invalid signature {signature}")
-    else:
-        raise QueryError(f"invalid signature {signature!r}: not all dimension names or all dimension indices")
-    path = directory / _cuboid_filename(sig)
-    if len(sig) > int(meta["max_level"]):
-        raise NotMaterializedError(
-            f"cuboid {{{','.join(dims[d] for d in sig)}}} is not materialized"
-        )
-    return sig, path
+    sig = _canonical_signature(meta["dims"], int(meta["max_level"]), signature)  # type: ignore[arg-type]
+    return sig, directory / _cuboid_filename(sig)
 
 
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:

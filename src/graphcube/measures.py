@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import InvertedIndex, MultidimGraph
+from .core import InvertedIndex, MultidimGraph, _refuse_unwritable
 from .errors import ParameterError
 
 __all__ = [
     "VertexScore",
     "SignificanceRow",
     "SignificanceTable",
+    "POLICY_KINDS",
     "PrunePolicy",
     "clustering_coefficient",
     "local_density",
@@ -54,13 +55,16 @@ class SignificanceTable:
         return self.rows[(dim, value)].keep
 
 
+POLICY_KINDS = ("none", "ss-mean", "support")
+
+
 @dataclass(frozen=True)
 class PrunePolicy:
-    kind: str = "ss-mean"  # one of: none, ss-mean, support
+    kind: str = "ss-mean"  # one of POLICY_KINDS
     min_support: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "ss-mean", "support"):
+        if self.kind not in POLICY_KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         if self.min_support < 1:
             raise ParameterError("min_support must be >= 1")
@@ -149,7 +153,12 @@ def apply_policy(t: SignificanceTable, p: PrunePolicy) -> SignificanceTable:
 
 
 def write_significance_csv(t: SignificanceTable, dims: tuple[str, ...], path: str | Path) -> None:
+    """One row per dimensional value. Raises ParameterError, before the file is
+    opened, for a dimension name or value that one CSV field cannot hold."""
+    rows = sorted(t.rows.items())
+    _refuse_unwritable(dims, "dimension name")
+    _refuse_unwritable((value for (_, value), _ in rows), "value")
     lines = ["dimension,value,ss,support,keep"]
-    for (d, value), row in sorted(t.rows.items()):
+    for (d, value), row in rows:
         lines.append(f"{dims[d]},{value},{row.ss:.12g},{row.support},{str(row.keep).lower()}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -20,6 +20,7 @@ from .engine import (
     AggregateNode,
     CubeMeta,
     GraphCube,
+    _top_level,
     lws_valid,
 )
 from .errors import ParameterError, VerificationError
@@ -65,10 +66,7 @@ def oracle_cuboid(g: MultidimGraph, dims: Sequence[int]) -> AggregateNetwork:
 
 def oracle_cube(g: MultidimGraph, max_level: int | None = None) -> GraphCube:
     n = g.dim_count
-    if max_level is None:
-        max_level = n
-    if not 1 <= max_level <= n:
-        raise ParameterError(f"max_level must be in [1, {n}], got {max_level}")
+    max_level = _top_level(n, max_level)
     cuboids = {}
     for k in range(1, max_level + 1):
         for sig in combinations(range(n), k):

@@ -1,3 +1,4 @@
+import functools
 import re
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from graphcube import (
     engine,
     generate_synthetic,
     level1_nodes,
+    locate_cuboid,
     lws_valid,
     oracle_cube,
     oracle_cuboid,
@@ -280,9 +282,26 @@ class TestQuery:
         write_cube(cube, tmp_path)
         with pytest.raises(QueryError, match=match):
             read_cuboid(tmp_path, signature)
-        if all(isinstance(d, str) for d in signature):
-            with pytest.raises(QueryError, match=match):
-                query_cuboid(cube, signature)
+        with pytest.raises(QueryError, match=match):
+            query_cuboid(cube, signature)
+
+    @pytest.mark.parametrize("signature", [[0], [1], [1, 0], (0, 1), (1,)])
+    def test_indices_read_the_same_cuboid_in_memory_and_on_disk(self, tmp_path, g0, signature):
+        cube = build_cube(g0)
+        write_cube(cube, tmp_path)
+        assert query_cuboid(cube, signature) == read_cuboid(tmp_path, signature)
+
+    def test_bare_str_refused(self, tmp_path):
+        """A str is not split into one-letter dimension names: on dims
+        ('ab', 'a', 'b'), "ab" is not cuboid {a,b}, nor {ab}."""
+        g = MultidimGraph(dims=("ab", "a", "b"), vertices={1: ("x", "y", "z")}, edges=())
+        cube = build_cube(g)
+        write_cube(cube, tmp_path)
+        assert query_cuboid(cube, ["ab"]) == read_cuboid(tmp_path, ["ab"]) == cube.cuboids[(0,)]
+        for lookup in (functools.partial(query_cuboid, cube), functools.partial(read_cuboid, tmp_path),
+                       functools.partial(locate_cuboid, tmp_path)):
+            with pytest.raises(QueryError, match=r"invalid signature 'ab': a str, not a sequence of dimensions"):
+                lookup("ab")
 
 
 class TestSerialization:

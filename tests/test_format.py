@@ -29,6 +29,7 @@ from graphcube import (
     load_graph,
     locate_cuboid,
     parse_cuboid,
+    query_cuboid,
     read_cuboid,
     write_cube,
     write_graph,
@@ -644,13 +645,17 @@ class TestReader:
     ids=["int-and-name", "name-and-int", "float", "bool", "bool-and-int", "floats", "none"],
 )
 def test_signature_of_names_or_indices_only(tmp_path, signature):
-    """A signature is all dimension names or all int indices; no entry is
-    converted, so 0.7 does not read cuboid (0,) nor True cuboid (1,)."""
-    write_cube(build_cube(make_g0()), tmp_path)
+    """A signature is all dimension names or all int indices, in memory and
+    on disk; no entry is converted, so 0.7 does not read cuboid (0,) nor True
+    cuboid (1,)."""
+    cube = build_cube(make_g0())
+    write_cube(cube, tmp_path)
     with pytest.raises(QueryError, match="invalid signature"):
         locate_cuboid(tmp_path, signature)
     with pytest.raises(QueryError, match="invalid signature"):
         read_cuboid(tmp_path, signature)
+    with pytest.raises(QueryError, match="invalid signature"):
+        query_cuboid(cube, signature)
 
 
 # ---------------------------------------------------------------------------

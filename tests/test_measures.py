@@ -5,6 +5,7 @@ import pytest
 from graphcube import (
     GenParams,
     MultidimGraph,
+    ParameterError,
     PrunePolicy,
     apply_policy,
     attribute_diversity,
@@ -220,3 +221,24 @@ def test_csv_export(tmp_path, g0, g0_table):
     assert len(lines) == 5
     assert lines[1].startswith("Gender,F,3.16666666667,3,false")
     assert lines[2].startswith("Gender,M,3.30555555556,3,true")
+
+
+@pytest.mark.parametrize(
+    "dims, value, match",
+    [
+        (("a,b",), "x", r"dimension name 'a,b' holds a comma"),
+        (("a",), "x,y", r"value 'x,y' holds a comma"),
+        (("a",), "x\ny", r"value 'x\\ny' holds a comma, a line break"),
+    ],
+    ids=["comma-in-name", "comma-in-value", "newline-in-value"],
+)
+def test_csv_export_refuses_unwritable_fields(tmp_path, dims, value, match):
+    """A name or value that one field cannot hold is refused before the file
+    is opened, as write_graph refuses it, instead of a row with extra fields
+    or one split across two lines."""
+    g = MultidimGraph(dims=dims, vertices={1: (value,), 2: (value,)}, edges={(1, 2)})
+    table = significance_table(g, build_inverted_index(g))
+    out = tmp_path / "ss.csv"
+    with pytest.raises(ParameterError, match=match):
+        write_significance_csv(table, g.dims, out)
+    assert not out.exists()
