@@ -14,8 +14,8 @@ from .core import GenParams, generate_synthetic, load_graph_with_report, write_g
 from .engine import (
     Strategy,
     _open_cube,
+    _resolve_cuboid,
     compute_cube,
-    locate_cuboid,
     write_cube,
 )
 from .errors import CubeFormatError, LoadError, NotMaterializedError, ParameterError, QueryError
@@ -143,8 +143,8 @@ def cmd_cube(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     names = [n for n in args.dims.split(",") if n]
-    sig, path = locate_cuboid(args.cube_dir, names)
-    data, _ = _open_cube.read(path, sig)  # print only what read_cuboid accepts
+    sig = _resolve_cuboid(args.cube_dir, names)
+    data, _ = _open_cube.read(args.cube_dir, sig)  # print only what read_cuboid accepts
     sys.stdout.buffer.write(data)
     return EXIT_OK
 

@@ -470,10 +470,11 @@ def _canonical_signature(
 ) -> tuple[int, ...]:
     """The canonical signature of a lookup in a cube over ``dims``: ``signature``
     is all dimension names or all int indices (a bool is not one), in any order.
-    QueryError for a bare str, a mix, an empty signature and an unknown, repeated
-    or out-of-range dimension; NotMaterializedError above max_level."""
-    if isinstance(signature, str):
-        raise QueryError(f"invalid signature {signature!r}: a str, not a sequence of dimensions")
+    QueryError for a bare str, bytes or bytearray, a mix, an empty signature and
+    an unknown, repeated or out-of-range dimension; NotMaterializedError above
+    max_level."""
+    if isinstance(signature, (str, bytes, bytearray)):
+        raise QueryError(f"invalid signature {signature!r}: a {type(signature).__name__}, not a sequence of dimensions")
     if signature and all(isinstance(d, str) for d in signature):
         indices = []
         for name in signature:
@@ -602,12 +603,13 @@ def _decode(data: bytes, name: str) -> str:
         raise CubeFormatError(f"{name}: byte {exc.start} is not UTF-8") from None
 
 
-def _read_bytes(path: Path, what: str) -> bytes:
+def _read_bytes(path: str, what: str) -> bytes:
     """The bytes of a cube file; NotMaterializedError naming ``what`` if opening it finds no file."""
     try:
-        return path.read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            return f.read()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise NotMaterializedError(f"no {what} in {path.parent}") from None
+        raise NotMaterializedError(f"no {what} in {Path(path).parent}") from None
 
 
 def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
@@ -618,66 +620,69 @@ def read_cube_meta(directory: str | Path) -> dict[str, str | tuple[str, ...]]:
     last result; each call returns a new dict. Raises NotMaterializedError
     without a meta file and CubeFormatError for a malformed meta or format.
     """
-    path = Path(directory) / META_NAME
-    return dict(_parse_meta(_read_bytes(path, "cube meta file"), str(path)))
+    path = os.path.join(directory, META_NAME)
+    return dict(_parse_meta(_read_bytes(path, "cube meta file"), path))
 
 
 @functools.lru_cache(maxsize=1)
 def _parse_meta(data: bytes, path: str) -> dict[str, str | tuple[str, ...]]:
-    """Parse meta's bytes; ``path`` labels errors. The cache keeps the last
-    successful parse, keyed by bytes and path; callers copy the result."""
-    text = _decode(data, META_NAME)
+    """Parse meta's bytes; errors name ``path`` as pathlib does. The cache keeps
+    the last successful parse, keyed by bytes and path; callers copy the result."""
+    text, where = _decode(data, META_NAME), Path(path)
     if any(map(text.__contains__, _OTHER_BREAKS)):
-        raise CubeFormatError(f"{path}: meta holds a line break other than \\n")
+        raise CubeFormatError(f"{where}: meta holds a line break other than \\n")
     out: dict[str, str | tuple[str, ...]] = {}
     for line in text.splitlines():
         key, sep, rest = line.partition(",")
         if not sep:
-            raise CubeFormatError(f"{path}: meta line {line!r} has no comma")
+            raise CubeFormatError(f"{where}: meta line {line!r} has no comma")
         if key != "level":
             out[key] = rest
     if out.get("format") != FORMAT:
         raise CubeFormatError(
-            f"{path}: cube format {out.get('format', '1')}; only format {FORMAT} is read"
+            f"{where}: cube format {out.get('format', '1')}; only format {FORMAT} is read"
         )
     for key in ("dims", "max_level"):
         if key not in out:
-            raise CubeFormatError(f"{path}: no {key} line")
+            raise CubeFormatError(f"{where}: no {key} line")
     if not str(out["max_level"]).isdecimal():
-        raise CubeFormatError(f"{path}: max_level {out['max_level']!r} is not a number")
+        raise CubeFormatError(f"{where}: max_level {out['max_level']!r} is not a number")
     try:
         out["dims"] = tuple(map(_unescape, str(out["dims"]).split("\t")))
     except ValueError:
-        raise CubeFormatError(f"{path}: malformed dimension name in {out['dims']!r}") from None
+        raise CubeFormatError(f"{where}: malformed dimension name in {out['dims']!r}") from None
     return out
 
 
-def locate_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> tuple[tuple[int, ...], Path]:
-    """Resolve a cuboid of a cube directory to its canonical signature and file.
-
-    ``signature`` follows _canonical_signature, with the cube's meta giving
-    the dimensions and max_level, so a file left by an earlier cube above
-    max_level is not materialized. It does not check the file; the read
-    that opens it does.
-    """
-    directory = Path(directory)
+def _resolve_cuboid(directory: str, signature: Sequence[str] | Sequence[int]) -> tuple[int, ...]:
+    """The canonical signature of a cuboid of a cube directory, by
+    _canonical_signature with the dimensions and max_level of its meta, so a
+    file left by an earlier cube above max_level is not materialized."""
     meta = read_cube_meta(directory)
-    sig = _canonical_signature(meta["dims"], int(meta["max_level"]), signature)  # type: ignore[arg-type]
-    return sig, directory / _cuboid_filename(sig)
+    return _canonical_signature(meta["dims"], int(meta["max_level"]), signature)  # type: ignore[arg-type]
+
+
+def locate_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> tuple[tuple[int, ...], Path]:
+    """Resolve a cuboid of a cube directory to its canonical signature and
+    file (see _resolve_cuboid). It does not check the file; the read that
+    opens it does.
+    """
+    sig = _resolve_cuboid(os.fspath(directory), signature)
+    return sig, Path(directory) / _cuboid_filename(sig)
 
 
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved by locate_cuboid(). The file is read in full on
-    every call; that one open raises NotMaterializedError for a missing file.
-    Its bytes are decoded, checked and parsed by parse_cuboid(), unless the
-    network parsed from identical bytes is kept (see _OpenCube), so the
-    result always equals parse_cuboid() of the file as it is now. Each call
-    returns a new network, with its own nodes list and columns.
+    ``signature`` is resolved as locate_cuboid() does. The file is read in
+    full on every call; that one open raises NotMaterializedError for a
+    missing file. Its bytes are decoded, checked and parsed by parse_cuboid(),
+    unless the network parsed from identical bytes is kept (see _OpenCube), so
+    the result always equals parse_cuboid() of the file as it is now. Each
+    call returns a new network, with its own nodes list and columns.
     """
-    sig, path = locate_cuboid(directory, signature)
-    return _open_cube.read(path, sig)[1]
+    directory = os.fspath(directory)
+    return _open_cube.read(directory, _resolve_cuboid(directory, signature))[1]
 
 
 # Cuboids kept per open cube. Reads in a zipf-like loop concentrate on a few
@@ -701,16 +706,18 @@ class _OpenCube:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._directory: Path | None = None
+        self._directory: str | None = None
         self._reads: dict[str, int] = {}
         self._kept: dict[str, tuple[bytes, AggregateNetwork]] = {}
 
-    def read(self, path: Path, sig: tuple[int, ...]) -> tuple[bytes, AggregateNetwork]:
-        """The file's bytes and a network of its own parsed from them."""
-        data, name = _read_bytes(path, f"cuboid file {path.name}"), path.name
+    def read(self, directory: str, sig: tuple[int, ...]) -> tuple[bytes, AggregateNetwork]:
+        """The bytes of cuboid ``sig``'s file in ``directory`` and a network
+        of its own parsed from them. ``directory`` is compared as given."""
+        name = _cuboid_filename(sig)
+        data = _read_bytes(os.path.join(directory, name), f"cuboid file {name}")
         with self._lock:
-            if path.parent != self._directory:
-                self._directory, self._reads, self._kept = path.parent, {}, {}
+            if directory != self._directory:
+                self._directory, self._reads, self._kept = directory, {}, {}
             kept, counts = self._kept, self._reads
             reads = counts[name] = counts.get(name, 0) + 1
             entry = kept.get(name)

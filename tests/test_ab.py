@@ -59,3 +59,23 @@ def test_bounds_come_from_the_benchmark_spec():
     base = {name: 1.0 for name in names}
     lines, breached = ab.summarize(spec["end_to_end"], [(base, dict(base))])
     assert breached == [] and len(lines) == 1 + len(names)
+
+
+def gains(lines):
+    return {line.split()[0]: "GAIN" in line.split() for line in lines[1:]}
+
+
+def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_base_spread():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.2, q1 1.1, q3 1.3
+    # build_s: 10 of 10 wins, gap 0.3 > spread 0.2. queries_per_s: 10 of 10 wins, gap 1 < spread 2.
+    lines, breached = ab.summarize(METRICS, runs(base, [b - 0.3 for b in base], [100, 101, 102, 98, 99] * 2,
+                                                 [101, 102, 103, 99, 100] * 2))
+    assert breached == []
+    assert gains(lines) == {"build_s": True, "queries_per_s": False}
+    assert lines[1].split()[-5:-2] == ["10", "of", "10"]
+    # 8 of 10 wins is not enough, however wide the gap.
+    lines, _ = ab.summarize(METRICS, runs(base, [b - 0.5 for b in base[:8]] + [9.0, 9.0], [100] * 10, [100] * 10))
+    assert gains(lines) == {"build_s": False, "queries_per_s": False}
+    # 9 of 10 is, and a worse change never gains.
+    lines, _ = ab.summarize(METRICS, runs(base, [b - 0.5 for b in base[:9]] + [9.0], [100] * 10, [50] * 10))
+    assert gains(lines) == {"build_s": True, "queries_per_s": False}

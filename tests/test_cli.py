@@ -201,18 +201,18 @@ class TestQuery:
 
     @pytest.mark.parametrize("hazard", ["deleted-after-locate", "directory"])
     def test_no_cuboid_file(self, cube_dir, monkeypatch, hazard, capsys):
-        """The read's one open decides: a cuboid file deleted after
-        locate_cuboid resolved it, or a directory at its name, is no cuboid."""
+        """The read's one open decides: a cuboid file deleted after its
+        signature was resolved, or a directory at its name, is no cuboid."""
         path = cube_dir / "0.tsv"  # Gender
         if hazard == "deleted-after-locate":
-            locate = engine.locate_cuboid
+            resolve = engine._resolve_cuboid
 
-            def locate_then_delete(directory, signature):
-                found = locate(directory, signature)
-                found[1].unlink()
-                return found
+            def resolve_then_delete(directory, signature):
+                sig = resolve(directory, signature)
+                path.unlink()
+                return sig
 
-            monkeypatch.setattr("graphcube.cli.locate_cuboid", locate_then_delete)
+            monkeypatch.setattr("graphcube.cli._resolve_cuboid", resolve_then_delete)
         else:
             path.unlink()
             path.mkdir()

@@ -293,7 +293,8 @@ class TestQuery:
 
     def test_bare_str_refused(self, tmp_path):
         """A str is not split into one-letter dimension names: on dims
-        ('ab', 'a', 'b'), "ab" is not cuboid {a,b}, nor {ab}."""
+        ('ab', 'a', 'b'), "ab" is not cuboid {a,b}, nor {ab}. Nor are bytes
+        taken as indices: b"\\x00\\x02" is not cuboid (0, 2)."""
         g = MultidimGraph(dims=("ab", "a", "b"), vertices={1: ("x", "y", "z")}, edges=())
         cube = build_cube(g)
         write_cube(cube, tmp_path)
@@ -302,6 +303,10 @@ class TestQuery:
                        functools.partial(locate_cuboid, tmp_path)):
             with pytest.raises(QueryError, match=r"invalid signature 'ab': a str, not a sequence of dimensions"):
                 lookup("ab")
+            with pytest.raises(QueryError, match=r"invalid signature b'\\x00\\x02': a bytes, not a sequence"):
+                lookup(b"\x00\x02")
+            with pytest.raises(QueryError, match=r"invalid signature bytearray\(b'\\x01'\): a bytearray, not a"):
+                lookup(bytearray(b"\x01"))
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ refusals, and a failed write."""
 
 import functools
 import hashlib
+import os
 import random
 import re
 import sys
@@ -483,10 +484,29 @@ def test_file_of_an_earlier_larger_cube_not_read(tmp_path):
         read_cuboid(tmp_path, ["Gender", "City"])
 
 
-@pytest.mark.parametrize("hazard", ["meta-is-a-directory", "cube-is-a-file"])
-def test_no_meta_file_is_not_materialized(tmp_path, hazard):
+# A directory as a caller may give it: a Path, a str with a trailing slash,
+# or a path relative to the working directory.
+SPELLINGS = ["path", "slash", "relative"]
+
+
+def spelled(hazards):
+    """(hazard, spelling) cases; a Path keeps the hazard's own id."""
+    return [pytest.param(h, s, id=h if s == "path" else f"{h}-{s}") for s in SPELLINGS for h in hazards]
+
+
+def spell(directory, spelling, monkeypatch):
+    """``directory`` as ``spelling`` gives it, and as error messages name it."""
+    if spelling == "relative":
+        monkeypatch.chdir(directory.parent)
+        return directory.name, directory.name
+    return (f"{directory}/" if spelling == "slash" else directory), str(directory)
+
+
+@pytest.mark.parametrize("hazard, spelling", spelled(["meta-is-a-directory", "cube-is-a-file"]))
+def test_no_meta_file_is_not_materialized(tmp_path, monkeypatch, hazard, spelling):
     """A meta that is a directory, or a cube directory that is a regular
-    file, holds no cube."""
+    file, holds no cube; the message names the directory without a trailing
+    slash, and a relative one as given."""
     cube_dir = tmp_path / "cube"
     write_cube(build_cube(make_g0()), cube_dir)
     if hazard == "meta-is-a-directory":
@@ -494,37 +514,40 @@ def test_no_meta_file_is_not_materialized(tmp_path, hazard):
         (cube_dir / "meta").mkdir()
     else:
         cube_dir = cube_dir / "0.tsv"
-    with pytest.raises(NotMaterializedError, match="no cube meta file"):
-        read_cube_meta(cube_dir)
-    with pytest.raises(NotMaterializedError, match="no cube meta file"):
-        read_cuboid(cube_dir, ["Gender"])
+    directory, shown = spell(cube_dir, spelling, monkeypatch)
+    message = re.escape(f"no cube meta file in {shown}") + "$"
+    with pytest.raises(NotMaterializedError, match=message):
+        read_cube_meta(directory)
+    with pytest.raises(NotMaterializedError, match=message):
+        read_cuboid(directory, ["Gender"])
 
 
-@pytest.mark.parametrize("hazard", ["deleted", "deleted-after-locate", "directory"])
-def test_no_cuboid_file_is_not_materialized(tmp_path, monkeypatch, hazard):
+@pytest.mark.parametrize("hazard, spelling", spelled(["deleted", "deleted-after-locate", "directory"]))
+def test_no_cuboid_file_is_not_materialized(tmp_path, monkeypatch, hazard, spelling):
     """Within max_level, the read's one open decides whether a cuboid is
     there, also for a kept cuboid: a file deleted before the read or after
-    locate_cuboid resolved it, or a directory at its name, holds none."""
+    its signature was resolved, or a directory at its name, holds none."""
     write_cube(build_cube(make_g0()), tmp_path)
-    for _ in range(2):
-        read_cuboid(tmp_path, ["Gender"])
-    assert "0.tsv" in kept_names()
     path = tmp_path / "0.tsv"
+    directory, shown = spell(tmp_path, spelling, monkeypatch)
+    for _ in range(2):
+        read_cuboid(directory, ["Gender"])
+    assert "0.tsv" in kept_names()
     if hazard == "deleted-after-locate":
-        locate = engine.locate_cuboid
+        resolve = engine._resolve_cuboid
 
-        def locate_then_delete(directory, signature):
-            found = locate(directory, signature)
-            found[1].unlink()
-            return found
+        def resolve_then_delete(directory, signature):
+            sig = resolve(directory, signature)
+            path.unlink()
+            return sig
 
-        monkeypatch.setattr(engine, "locate_cuboid", locate_then_delete)
+        monkeypatch.setattr(engine, "_resolve_cuboid", resolve_then_delete)
     else:
         path.unlink()
         if hazard == "directory":
             path.mkdir()
-    with pytest.raises(NotMaterializedError, match=re.escape(f"no cuboid file 0.tsv in {tmp_path}") + "$"):
-        read_cuboid(tmp_path, ["Gender"])
+    with pytest.raises(NotMaterializedError, match=re.escape(f"no cuboid file 0.tsv in {shown}") + "$"):
+        read_cuboid(directory, ["Gender"])
     assert not path.is_file()
 
 
@@ -751,6 +774,37 @@ class TestReadCache:
         read_cuboid(tmp_path, sigs[k])  # now read more often than sigs[0]
         assert kept_names() == set(names[1 : k + 1])
         assert read_cuboid(tmp_path, sigs[k]) == cube.cuboids[sigs[k]]
+
+    def test_a_kept_read_opens_two_files_and_parses_none(self, tmp_path, g0_cube, monkeypatch):
+        """A kept read reads meta, then the cuboid, and parses nothing; a Path,
+        its str and another os.PathLike of one directory share what is kept."""
+
+        class CubeDir:
+            def __fspath__(self):
+                return str(tmp_path)
+
+        for _ in range(2):
+            read_cuboid(tmp_path, (0,))
+        assert kept_names() == {"0.tsv"}
+        read_bytes, parse = engine._read_bytes, engine.parse_cuboid
+        opened, parsed = [], []
+
+        def counted_read_bytes(path, what):
+            opened.append(path)
+            return read_bytes(path, what)
+
+        def counted_parse(*args):
+            parsed.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(engine, "_read_bytes", counted_read_bytes)
+        monkeypatch.setattr(engine, "parse_cuboid", counted_parse)
+        for directory in (tmp_path, str(tmp_path), CubeDir()):
+            opened.clear()
+            assert read_cuboid(directory, (0,)) == g0_cube.cuboids[(0,)]
+            assert [os.path.basename(p) for p in opened] == ["meta", "0.tsv"]
+            assert parsed == []
+            assert kept_names() == {"0.tsv"}
 
     def test_another_directory_drops_everything(self, tmp_path, g0_cube):
         other = tmp_path / "other"

@@ -13,7 +13,10 @@ Each run's metrics are printed as it finishes. At the end, for each workload
 and metric, the table gives each side's median and quartiles, the number of
 pairs CHANGE won (ties count for neither side) and a verdict: WORSE when
 CHANGE's median is worse than BASE's by more than the metric's ``bound`` in
-CHANGE's BENCHMARK.json, as a fraction of BASE's median. A run that exits
+CHANGE's BENCHMARK.json, as a fraction of BASE's median. A row is marked GAIN
+when a gain may be claimed: CHANGE won at least 9 in 10 of the pairs, and its
+median is better than BASE's by more than BASE's interquartile distance
+(q3 - q1). GAIN does not change the exit code. A run that exits
 non-zero or prints no result counts as failed. The exit code is 1 if any run
 failed or any metric is WORSE, else 0. This script writes no file: the runs start
 with PYTHONDONTWRITEBYTECODE=1, and perfbench/run.py deletes its own work
@@ -56,25 +59,28 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) -> tuple[list[str], list[str]]:
     """The table for one workload, and the names of the metrics whose change
     median is worse than the base median by more than the metric's bound."""
-    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'change wins':>12}  verdict"]
+    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'gain':>4} "
+             f"{'change wins':>12}  verdict"]
     breached = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [(b[name], c[name]) for b, c in runs if b and c and name in b and name in c]
         if not pairs:
             continue
-        cols, medians = [], []
+        cols, stats = [], []
         for side in (0, 1):
             q1, q2, q3 = quartiles([p[side] for p in pairs])
             cols.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}] {m['unit']}")
-            medians.append(q2)
+            stats.append((q1, q2, q3))
         wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-        base, change = medians
+        (base_q1, base, base_q3), (_, change, _) = stats
         worse = change > base * (1 + m["bound"]) if lower else change < base * (1 - m["bound"])
         if worse:
             breached.append(name)
+        gain = 10 * wins >= 9 * len(pairs) and (base - change if lower else change - base) > base_q3 - base_q1
         verdict = f"WORSE by more than {m['bound']:.0%}" if worse else "within bound"
-        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {wins:>7} of {len(pairs)}  {verdict}")
+        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {'GAIN' if gain else '':>4} "
+                     f"{wins:>7} of {len(pairs)}  {verdict}")
     return lines, breached
 
 
