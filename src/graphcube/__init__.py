@@ -18,7 +18,6 @@ from .engine import (
     aggregate_edges,
     compute_cube,
     level1_nodes,
-    locate_cuboid,
     lws_valid,
     parse_cuboid,
     query_cuboid,

@@ -7,7 +7,10 @@ prefix cuboid intersected with the cells of its length-p suffix cuboid. The
 two strategies differ only in the level p that each target is read from:
 level-by-level reads level k-1, steps-up reads level ceil(k/2), so each level L
 feeds every level up to 2L. Both strategies must emit identical cubes. Each
-cuboid's edges are counted as soon as it is joined, into the cube being built.
+cuboid's edges are counted as soon as it is joined: its cells reach
+aggregate_edges on a build record with the build's edge groups, and only the
+network that call returns goes into the cube. A cuboid file is found and read
+by one path, read_cuboid through _resolve_cuboid.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "aggregate_edges",
     "query_cuboid",
     "write_cube",
-    "locate_cuboid",
     "read_cuboid",
     "parse_cuboid",
     "read_cube_meta",
@@ -288,15 +290,14 @@ class GraphCube:
     meta: CubeMeta
 
 
-class _BuildNetwork(AggregateNetwork):
+@dataclass(slots=True)
+class _BuildCuboid:
     """The cells of one cuboid on their way from compute_cube to
-    aggregate_edges, carrying the build's edge groups (see _edge_groups)."""
+    aggregate_edges, with the build's edge groups (see _edge_groups)."""
 
-    __slots__ = ("groups",)
-
-    def __init__(self, signature: tuple[int, ...], nodes: list[AggregateNode], groups: dict) -> None:
-        super().__init__(signature, nodes)
-        self.groups = groups
+    signature: tuple[int, ...]
+    nodes: list[AggregateNode]
+    groups: dict[int, tuple[list[int], list[int]]]
 
 
 def _edge_groups(fwd: list[tuple[int, ...]], kept: list[int]) -> dict[int, tuple[list[int], list[int]]]:
@@ -318,20 +319,20 @@ def _edge_groups(fwd: list[tuple[int, ...]], kept: list[int]) -> dict[int, tuple
     return groups
 
 
-def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork:
+def aggregate_edges(g: MultidimGraph, net: AggregateNetwork | _BuildCuboid) -> AggregateNetwork:
     """Classify every graph edge by its endpoints' cells.
 
     Each undirected edge counts once; edges with an endpoint outside all cells
     (pruned away) contribute nothing. Zero-weight entries are omitted.
 
     The edges come grouped by mask (_edge_groups), and only the groups whose
-    mask holds every bit asked for are counted. Under compute_cube, the
-    groups are made once per build: a vertex carries one bit per dimension on
-    which its value is kept, and the cuboid asks for its signature's bits. An
-    edge (u, w) joins two cells of cuboid S exactly when both u and w keep
-    their values on every dimension of S, so no other group holds one. On
-    any other network, the groups come from its own cells: bit 1 for the
-    members, none for the rest.
+    mask holds every bit asked for are counted. compute_cube passes a build
+    record (_BuildCuboid), not a network, carrying groups made once per
+    build: a vertex carries one bit per dimension on which its value is kept,
+    and the cuboid asks for its signature's bits. An edge (u, w) joins two
+    cells of cuboid S exactly when both u and w keep their values on every
+    dimension of S, so no other group holds one. On a network, the groups
+    come from its own cells: bit 1 for the members, none for the rest.
 
     Cells are numbered by position in ``net.nodes`` and each vertex position
     holds its cell number. The (cell of u, cell of w) pairs of the chosen
@@ -345,7 +346,7 @@ def aggregate_edges(g: MultidimGraph, net: AggregateNetwork) -> AggregateNetwork
     for c, node in enumerate(nodes):
         for v in node.members:
             cell[pos[v]] = c
-    if isinstance(net, _BuildNetwork):
+    if isinstance(net, _BuildCuboid):
         groups, want = net.groups, sum(1 << d for d in net.signature)
     else:
         groups, want = _edge_groups(fwd, [0 if c < 0 else 1 for c in cell]), 1
@@ -451,7 +452,7 @@ def compute_cube(
                     cells[b_sig] = {v: i for i, nd in enumerate(cuboids[b_sig].nodes) for v in nd.members}
                 nodes = _join(cuboids[sig[:p]].nodes, cuboids[b_sig].nodes, cells[b_sig], 2 * p - k)
             meta.nodes_emitted += len(nodes)
-            cuboids[sig] = aggregate_edges(g, _BuildNetwork(sig, nodes, groups))
+            cuboids[sig] = aggregate_edges(g, _BuildCuboid(sig, nodes, groups))
         t0, start = time.perf_counter(), t0
         meta.timings.append((k, (t0 - start) * 1000.0))
     return GraphCube(cuboids=cuboids, meta=meta)
@@ -470,10 +471,10 @@ def _canonical_signature(
 ) -> tuple[int, ...]:
     """The canonical signature of a lookup in a cube over ``dims``: ``signature``
     is all dimension names or all int indices (a bool is not one), in any order.
-    QueryError for a bare str, bytes or bytearray, a mix, an empty signature and
-    an unknown, repeated or out-of-range dimension; NotMaterializedError above
-    max_level."""
-    if isinstance(signature, (str, bytes, bytearray)):
+    QueryError for a bare str, bytes, bytearray or memoryview, a mix, an empty
+    signature and an unknown, repeated or out-of-range dimension;
+    NotMaterializedError above max_level."""
+    if isinstance(signature, (str, bytes, bytearray, memoryview)):
         raise QueryError(f"invalid signature {signature!r}: a {type(signature).__name__}, not a sequence of dimensions")
     if signature and all(isinstance(d, str) for d in signature):
         indices = []
@@ -662,19 +663,10 @@ def _resolve_cuboid(directory: str, signature: Sequence[str] | Sequence[int]) ->
     return _canonical_signature(meta["dims"], int(meta["max_level"]), signature)  # type: ignore[arg-type]
 
 
-def locate_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> tuple[tuple[int, ...], Path]:
-    """Resolve a cuboid of a cube directory to its canonical signature and
-    file (see _resolve_cuboid). It does not check the file; the read that
-    opens it does.
-    """
-    sig = _resolve_cuboid(os.fspath(directory), signature)
-    return sig, Path(directory) / _cuboid_filename(sig)
-
-
 def read_cuboid(directory: str | Path, signature: Sequence[str] | Sequence[int]) -> AggregateNetwork:
     """Read one cuboid back from a cube directory.
 
-    ``signature`` is resolved as locate_cuboid() does. The file is read in
+    ``signature`` is resolved by _resolve_cuboid(). The file is read in
     full on every call; that one open raises NotMaterializedError for a
     missing file. Its bytes are decoded, checked and parsed by parse_cuboid(),
     unless the network parsed from identical bytes is kept (see _OpenCube), so

@@ -81,14 +81,21 @@ def oracle_cube(g: MultidimGraph, max_level: int | None = None) -> GraphCube:
     return GraphCube(cuboids=cuboids, meta=meta)
 
 
+Cell = tuple[str, ...]
+
+
 @dataclass
 class CubeDiff:
-    """Structural difference between two cubes; empty means equal."""
+    """Structural difference between two cubes; empty means equal.
 
-    missing_nodes: list[tuple[tuple[int, ...], str, str]] = field(default_factory=list)
-    extra_nodes: list[tuple[tuple[int, ...], str, str]] = field(default_factory=list)
-    member_mismatches: list[tuple[tuple[int, ...], str, str]] = field(default_factory=list)
-    weight_mismatches: list[tuple[tuple[int, ...], str, str]] = field(default_factory=list)
+    Each entry is (signature, cell, message). A cell is named by its value
+    tuple, a cross weight by (lower values, higher values), and a cuboid
+    present in one cube only by None."""
+
+    missing_nodes: list[tuple[tuple[int, ...], Cell | None, str]] = field(default_factory=list)
+    extra_nodes: list[tuple[tuple[int, ...], Cell | None, str]] = field(default_factory=list)
+    member_mismatches: list[tuple[tuple[int, ...], Cell, str]] = field(default_factory=list)
+    weight_mismatches: list[tuple[tuple[int, ...], Cell | tuple[Cell, Cell], str]] = field(default_factory=list)
 
     def empty(self) -> bool:
         return not (
@@ -112,23 +119,21 @@ def compare(a: GraphCube, b: GraphCube) -> CubeDiff:
         net_a = a.cuboids.get(sig)
         net_b = b.cuboids.get(sig)
         if net_a is None:
-            diff.extra_nodes.append((sig, "*", "cuboid only in second cube"))
+            diff.extra_nodes.append((sig, None, "cuboid only in second cube"))
             continue
         if net_b is None:
-            diff.missing_nodes.append((sig, "*", "cuboid only in first cube"))
+            diff.missing_nodes.append((sig, None, "cuboid only in first cube"))
             continue
         nodes_a = {nd.values: nd for nd in net_a.nodes}
         nodes_b = {nd.values: nd for nd in net_b.nodes}
         for values in sorted(nodes_a.keys() - nodes_b.keys()):
-            diff.missing_nodes.append((sig, "|".join(values), "node absent in second cube"))
+            diff.missing_nodes.append((sig, values, "node absent in second cube"))
         for values in sorted(nodes_b.keys() - nodes_a.keys()):
-            diff.extra_nodes.append((sig, "|".join(values), "node absent in first cube"))
+            diff.extra_nodes.append((sig, values, "node absent in first cube"))
         for values in sorted(nodes_a.keys() & nodes_b.keys()):
             ma, mb = nodes_a[values].members, nodes_b[values].members
             if ma != mb:
-                diff.member_mismatches.append(
-                    (sig, "|".join(values), f"members {list(ma)} != {list(mb)}")
-                )
+                diff.member_mismatches.append((sig, values, f"members {list(ma)} != {list(mb)}"))
         if net_a.self_edges == net_b.self_edges and net_a.cross_edges == net_b.cross_edges:
             continue  # no weight differs; views over the same cells compare by cell number
         self_a, self_b = dict(net_a.self_edges.items()), dict(net_b.self_edges.items())
@@ -136,14 +141,13 @@ def compare(a: GraphCube, b: GraphCube) -> CubeDiff:
             wa = self_a.get(key, 0)
             wb = self_b.get(key, 0)
             if wa != wb:
-                diff.weight_mismatches.append((sig, "|".join(key), f"self {wa} != {wb}"))
+                diff.weight_mismatches.append((sig, key, f"self {wa} != {wb}"))
         cross_a, cross_b = dict(net_a.cross_edges.items()), dict(net_b.cross_edges.items())
         for pair in sorted(cross_a.keys() | cross_b.keys()):
             wa = cross_a.get(pair, 0)
             wb = cross_b.get(pair, 0)
             if wa != wb:
-                label = "|".join(pair[0]) + "--" + "|".join(pair[1])
-                diff.weight_mismatches.append((sig, label, f"cross {wa} != {wb}"))
+                diff.weight_mismatches.append((sig, pair, f"cross {wa} != {wb}"))
     return diff
 
 

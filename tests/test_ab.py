@@ -79,3 +79,15 @@ def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_base_spread():
     # 9 of 10 is, and a worse change never gains.
     lines, _ = ab.summarize(METRICS, runs(base, [b - 0.5 for b in base[:9]] + [9.0], [100] * 10, [50] * 10))
     assert gains(lines) == {"build_s": True, "queries_per_s": False}
+
+
+def test_gain_counts_pairs_with_a_failed_run():
+    """9 in 10 is of all pairs run: 8 wins with the change's other 2 runs
+    failed are 8 of 10, not 8 of 8."""
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    rows = runs(base, [b - 0.5 for b in base], [100] * 10, [100] * 10)
+    rows[8:] = [(b, None) for b, _ in rows[8:]]  # the change's last two runs failed
+    lines, breached = ab.summarize(METRICS, rows)
+    assert breached == []
+    assert lines[1].split()[-5:-2] == ["8", "of", "8"]
+    assert gains(lines) == {"build_s": False, "queries_per_s": False}

@@ -29,7 +29,6 @@ from graphcube import (
     engine,
     generate_synthetic,
     level1_nodes,
-    locate_cuboid,
     lws_valid,
     oracle_cube,
     oracle_cuboid,
@@ -294,19 +293,21 @@ class TestQuery:
     def test_bare_str_refused(self, tmp_path):
         """A str is not split into one-letter dimension names: on dims
         ('ab', 'a', 'b'), "ab" is not cuboid {a,b}, nor {ab}. Nor are bytes
-        taken as indices: b"\\x00\\x02" is not cuboid (0, 2)."""
+        taken as indices: b"\\x00\\x02" is not cuboid (0, 2), nor is a
+        memoryview of those bytes."""
         g = MultidimGraph(dims=("ab", "a", "b"), vertices={1: ("x", "y", "z")}, edges=())
         cube = build_cube(g)
         write_cube(cube, tmp_path)
         assert query_cuboid(cube, ["ab"]) == read_cuboid(tmp_path, ["ab"]) == cube.cuboids[(0,)]
-        for lookup in (functools.partial(query_cuboid, cube), functools.partial(read_cuboid, tmp_path),
-                       functools.partial(locate_cuboid, tmp_path)):
+        for lookup in (functools.partial(query_cuboid, cube), functools.partial(read_cuboid, tmp_path)):
             with pytest.raises(QueryError, match=r"invalid signature 'ab': a str, not a sequence of dimensions"):
                 lookup("ab")
             with pytest.raises(QueryError, match=r"invalid signature b'\\x00\\x02': a bytes, not a sequence"):
                 lookup(b"\x00\x02")
             with pytest.raises(QueryError, match=r"invalid signature bytearray\(b'\\x01'\): a bytearray, not a"):
                 lookup(bytearray(b"\x01"))
+            with pytest.raises(QueryError, match=r"invalid signature <memory at .*>: a memoryview, not a"):
+                lookup(memoryview(b"\x00\x02"))
 
 
 class TestSerialization:

@@ -93,12 +93,27 @@ class TestCompare:
             cross_edges={k: w for k, w in net.cross_edges.items() if dropped.values not in k},
         )
         diff = compare(a, b)
-        assert any(label == "|".join(dropped.values) for _, label, _ in diff.missing_nodes)
+        assert any(label == dropped.values for _, label, _ in diff.missing_nodes)
         assert not diff.extra_nodes
         # symmetric direction
         diff2 = compare(b, a)
-        assert any(label == "|".join(dropped.values) for _, label, _ in diff2.extra_nodes)
+        assert any(label == dropped.values for _, label, _ in diff2.extra_nodes)
         assert not diff2.missing_nodes
+
+    @pytest.mark.parametrize("dropped", [("a", "b|c"), ("a|b", "c")])
+    def test_cells_are_named_by_value_tuple(self, dropped):
+        """Two cells whose values join to the same string, 'a|b|c', are
+        each reported under their own value tuple."""
+        g = MultidimGraph(
+            dims=("D1", "D2"), vertices={1: ("a|b", "c"), 2: ("a", "b|c")}, edges=frozenset({(1, 2)})
+        )
+        a, b = oracle_cube(g), oracle_cube(g)
+        net = b.cuboids[(0, 1)]
+        b.cuboids[(0, 1)] = AggregateNetwork(net.signature, [nd for nd in net.nodes if nd.values != dropped])
+        diff = compare(a, b)
+        assert diff.missing_nodes == [((0, 1), dropped, "node absent in second cube")]
+        assert diff.weight_mismatches == [((0, 1), (("a", "b|c"), ("a|b", "c")), "cross 1 != 0")]
+        assert not diff.extra_nodes and not diff.member_mismatches
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_cuboid_in_one_cube_only(self, g0, side):
@@ -106,7 +121,7 @@ class TestCompare:
         del (b if side == "first" else a).cuboids[(0, 1)]
         diff = compare(a, b)
         found = diff.missing_nodes if side == "first" else diff.extra_nodes
-        assert found == [((0, 1), "*", f"cuboid only in {side} cube")]
+        assert found == [((0, 1), None, f"cuboid only in {side} cube")]
         assert not (diff.extra_nodes if side == "first" else diff.missing_nodes)
         assert not diff.member_mismatches and not diff.weight_mismatches
 
@@ -123,7 +138,7 @@ class TestCompare:
             net.signature, list(moved), dict(net.self_edges.items()), dict(net.cross_edges.items())
         )
         diff = compare(a, b)
-        assert [(sig, label) for sig, label, _ in diff.member_mismatches] == [((0,), "F"), ((0,), "M")]
+        assert [(sig, label) for sig, label, _ in diff.member_mismatches] == [((0,), ("F",)), ((0,), ("M",))]
         assert diff.member_mismatches[0][2] == f"members {list(first.members)} != {list(moved[0].members)}"
         assert not diff.missing_nodes and not diff.extra_nodes and not diff.weight_mismatches
 

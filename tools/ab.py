@@ -14,10 +14,11 @@ and metric, the table gives each side's median and quartiles, the number of
 pairs CHANGE won (ties count for neither side) and a verdict: WORSE when
 CHANGE's median is worse than BASE's by more than the metric's ``bound`` in
 CHANGE's BENCHMARK.json, as a fraction of BASE's median. A row is marked GAIN
-when a gain may be claimed: CHANGE won at least 9 in 10 of the pairs, and its
-median is better than BASE's by more than BASE's interquartile distance
-(q3 - q1). GAIN does not change the exit code. A run that exits
-non-zero or prints no result counts as failed. The exit code is 1 if any run
+when a gain may be claimed: CHANGE won at least 9 in 10 of all the pairs
+run, a pair with a failed run counting as no win, and its median is better
+than BASE's by more than BASE's interquartile distance (q3 - q1). GAIN does
+not change the exit code. A run that exits non-zero or prints no result
+counts as failed. The exit code is 1 if any run
 failed or any metric is WORSE, else 0. This script writes no file: the runs start
 with PYTHONDONTWRITEBYTECODE=1, and perfbench/run.py deletes its own work
 directory after each run; its own `.perfbench_work/` parent directory
@@ -77,7 +78,7 @@ def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) 
         worse = change > base * (1 + m["bound"]) if lower else change < base * (1 - m["bound"])
         if worse:
             breached.append(name)
-        gain = 10 * wins >= 9 * len(pairs) and (base - change if lower else change - base) > base_q3 - base_q1
+        gain = 10 * wins >= 9 * len(runs) and (base - change if lower else change - base) > base_q3 - base_q1
         verdict = f"WORSE by more than {m['bound']:.0%}" if worse else "within bound"
         lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {'GAIN' if gain else '':>4} "
                      f"{wins:>7} of {len(pairs)}  {verdict}")
