@@ -83,16 +83,6 @@ def _positions(vertices: dict[int, tuple[str, ...]]) -> dict[int, int]:
     return {v: i for i, v in enumerate(sorted(vertices))}
 
 
-def _rows(codes: list[int], ints: list[int]) -> list[tuple[int, ...]]:
-    """Split ascending codes ``row * n + column`` into n tuples of columns,
-    n = len(ints). Column c is the object ints[c], so every row holding c
-    shares one int."""
-    n = len(ints)
-    columns = list(map(ints.__getitem__, [c % n for c in codes]))
-    bounds = [bisect_left(codes, row * n) for row in range(n + 1)]
-    return list(map(tuple, map(columns.__getitem__, map(slice, bounds, bounds[1:]))))
-
-
 class MultidimGraph:
     """Undirected simple graph with one attribute value per dimension per vertex.
 
@@ -101,8 +91,10 @@ class MultidimGraph:
     graph stores them once, as rows over vertex positions (0..|V|-1 in
     ascending id order): per position, a tuple of the ascending positions of
     its higher-id neighbors (the forward adjacency) and one of its lower-id
-    ones. All rows share one int object per position, so a row costs a
-    pointer per neighbor, and iterating it boxes nothing (an ``array`` row
+    ones. The constructor and the loader both collect, per position, a list
+    of its higher neighbors' positions, which ``_link`` deduplicates and
+    sorts once. All rows share one int object per position, so a row costs
+    a pointer per neighbor, and iterating it boxes nothing (an ``array`` row
     would box every element it yields, on the edge-counting hot path).
     ``edges`` is a read-only set view over the forward rows. Instances are
     treated as immutable after construction; two graphs are equal when their
@@ -116,8 +108,7 @@ class MultidimGraph:
         self.vertices = vertices
         self._validate()
         pos = _positions(vertices)
-        n = len(pos)
-        codes = set()
+        higher: list[list[int]] = [[] for _ in pos]
         for u, w in edges:
             if u == w:
                 raise ParameterError(f"self-loop on vertex {u}")
@@ -125,18 +116,20 @@ class MultidimGraph:
                 raise ParameterError(f"edge ({u},{w}) not normalized")
             if u not in pos or w not in pos:
                 raise ParameterError(f"edge ({u},{w}) references unknown vertex")
-            codes.add(pos[u] * n + pos[w])
-        self._link(pos, sorted(codes))
+            higher[pos[u]].append(pos[w])
+        self._link(pos, higher)
 
     @classmethod
-    def _from_codes(
-        cls, dims: tuple[str, ...], vertices: dict[int, tuple[str, ...]], pos: dict[int, int], codes: list[int]
+    def _from_lists(
+        cls, dims: tuple[str, ...], vertices: dict[int, tuple[str, ...]], pos: dict[int, int],
+        higher: list[list[int]],
     ) -> MultidimGraph:
-        """A graph from checked vertices, their ``_positions`` and the ascending,
-        distinct codes ``p * |V| + q`` of its edges, positions p < q."""
+        """A graph from checked vertices, their ``_positions`` and, per
+        position p, a list of the positions q > p of its higher-id neighbors,
+        in any order and possibly repeated."""
         g = cls.__new__(cls)
         g.dims, g.vertices = dims, vertices
-        g._link(pos, codes)
+        g._link(pos, higher)
         return g
 
     def _validate(self) -> None:
@@ -151,14 +144,27 @@ class MultidimGraph:
             if any(not a for a in attrs):
                 raise ParameterError(f"vertex {vid}: empty attribute value")
 
-    def _link(self, pos: dict[int, int], codes: list[int]) -> None:
-        n = len(pos)
-        positions = list(pos.values())
+    def _link(self, pos: dict[int, int], higher: list[list[int]]) -> None:
+        """Store the rows, turning ``higher``, the forward adjacency with
+        repeats and in any order, into the forward rows in place: each list is
+        deduplicated (through a set only if it holds a repeat) and sorted
+        once, and freed as its tuple replaces it. The backward rows are read
+        off the forward ones in ascending position order, so they come out
+        sorted. The lists must hold the int objects of ``pos``, which every
+        row then shares."""
+        for p, row in enumerate(higher):
+            kept = set(row)
+            higher[p] = tuple(sorted(row if len(kept) == len(row) else kept))
+        bwd = [[] for _ in higher]
+        for p, row in zip(pos.values(), higher):
+            for q in row:
+                bwd[q].append(p)
+        for q, row in enumerate(bwd):
+            bwd[q] = tuple(row)
         self._pos = pos
         self._ids = list(pos)
-        self._fwd = _rows(codes, positions)
-        self._bwd = _rows(sorted([c % n * n + c // n for c in codes]), positions)
-        self._edges = EdgeView(pos, self._ids, self._fwd, len(codes))
+        self._fwd, self._bwd = higher, bwd
+        self._edges = EdgeView(pos, self._ids, higher, sum(map(len, higher)))
         self._triangles: dict[int, int] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -313,38 +319,62 @@ def _read_text(path: Path, kind: str) -> str:
         raise LoadError(f"{kind} file {path}: byte {exc.start} is not UTF-8") from None
 
 
-def _edge_codes(text: str, pos: dict[int, int], edge_file: Path) -> tuple[list[int], int, int]:
-    """Parse an edge file: the ascending distinct edge codes ``p * |V| + q``
-    (positions p < q), the number of self-loops dropped and the number of
-    duplicates dropped. Blank lines are skipped and endpoints are read by
-    int(); raises LoadError naming the first line it refuses. No tuple is
+# Characters of edge file text split into lines at a time, so that no list
+# of the whole file's lines is built. Each slice is cut just after a "\n",
+# where str.splitlines() always breaks, so the lines and their numbers are
+# those of the whole text.
+_SLICE = 1 << 16
+
+
+def _endpoints(line: str, lineno: int, pos: dict[int, int], edge_file: Path) -> tuple[int, int] | None:
+    """The positions of the endpoints on one edge line, read by int(), or None
+    for a blank line; LoadError for a line that is neither."""
+    parts = line.split(",")
+    if len(parts) != 2:
+        if not line.strip():
+            return None
+        raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
+    try:
+        u, w = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
+    try:
+        return pos[u], pos[w]
+    except KeyError:
+        raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex") from None
+
+
+def _edge_lists(text: str, pos: dict[int, int], edge_file: Path) -> tuple[list[list[int]], int, int]:
+    """Parse an edge file: per vertex position p, the list of positions q > p
+    of its higher-id neighbors, one entry per edge line in file order
+    (repeats included), the number of self-loops dropped and the number of
+    entries appended. A line of two ids written as ``str(id)`` is read by
+    dictionary lookup; any other line by ``_endpoints``, which skips blank
+    lines and raises LoadError for the first line it refuses. No tuple is
     kept per edge."""
-    n = len(pos)
-    codes: set[int] = set()
-    loops = duplicates = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            if not line.strip():
-                continue
-            raise LoadError(f"edge file {edge_file}: line {lineno}: expected 'src,dst', got {line!r}")
-        try:
-            u, w = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: non-integer endpoint in {line!r}") from None
-        try:
-            p, q = pos[u], pos[w]
-        except KeyError:
-            raise LoadError(f"edge file {edge_file}: line {lineno}: edge {u},{w} references unknown vertex") from None
-        if p == q:
-            loops += 1
-            continue
-        code = p * n + q if p < q else q * n + p
-        if code in codes:
-            duplicates += 1
-        else:
-            codes.add(code)
-    return sorted(codes), loops, duplicates
+    higher: list[list[int]] = [[] for _ in pos]
+    by_text = dict(zip(map(str, pos), pos.values()))
+    loops = lineno = 0
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE) + 1 or size
+        for line in text[start:end].splitlines():
+            lineno += 1
+            a, _, b = line.partition(",")
+            p, q = by_text.get(a), by_text.get(b)
+            if p is None or q is None:
+                ends = _endpoints(line, lineno, pos, edge_file)
+                if ends is None:
+                    continue
+                p, q = ends
+            if p < q:
+                higher[p].append(q)
+            elif q < p:
+                higher[q].append(p)
+            else:
+                loops += 1
+        start = end
+    return higher, loops, sum(map(len, higher))
 
 
 def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tuple[MultidimGraph, LoadReport]:
@@ -382,11 +412,12 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
             raise LoadError(f"vertex file {vertex_file}: row {label}: empty attribute value")
         vertices[vid] = tuple(parts[1:])
 
+    del vlines
     pos = _positions(vertices)
-    text = _read_text(edge_file, "edge")
-    codes, loops, duplicates = _edge_codes(text, pos, edge_file)
-    report = LoadReport(self_loops_dropped=loops, duplicate_edges_dropped=duplicates)
-    return MultidimGraph._from_codes(dims, vertices, pos, codes), report
+    higher, loops, appended = _edge_lists(_read_text(edge_file, "edge"), pos, edge_file)
+    g = MultidimGraph._from_lists(dims, vertices, pos, higher)
+    report = LoadReport(self_loops_dropped=loops, duplicate_edges_dropped=appended - len(g.edges))
+    return g, report
 
 
 def load_graph(vertex_file: str | Path, edge_file: str | Path) -> MultidimGraph:

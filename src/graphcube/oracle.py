@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .core import MultidimGraph
 from .engine import (
@@ -153,7 +153,8 @@ def compare(a: GraphCube, b: GraphCube) -> CubeDiff:
 
 # ---------------------------------------------------------------------------
 # Exact rational recomputation of the structural scores, built from scratch on
-# the edge list so it stays independent of the measures module's float path.
+# the edge list (one vertex's score on its neighbor sets) so it stays
+# independent of the measures module's float path.
 # ---------------------------------------------------------------------------
 
 
@@ -166,12 +167,14 @@ def _adjacency(g: MultidimGraph) -> dict[int, set[int]]:
 
 
 def rational_vertex_score(g: MultidimGraph, v: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(diversity, clustering, density, total) as exact fractions."""
-    return _rational_vertex_score(g, _adjacency(g), v)
+    """(diversity, clustering, density, total) as exact fractions. Reads the
+    adjacency of v's closed neighborhood only, which is all the score needs."""
+    closed = g.neighbors(v) | {v}
+    return _rational_vertex_score(g, {u: g.neighbors(u) for u in closed}, v)
 
 
 def _rational_vertex_score(
-    g: MultidimGraph, adj: dict[int, set[int]], v: int
+    g: MultidimGraph, adj: Mapping[int, AbstractSet[int]], v: int
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     nbrs = adj[v]
     d = len(nbrs)

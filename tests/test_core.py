@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -18,7 +20,7 @@ from graphcube import (
     load_graph_with_report,
     write_graph,
 )
-from graphcube.core import HUB_VALUE, LINE_BREAKS, LoadReport, MultidimGraph
+from graphcube.core import _SLICE, HUB_VALUE, LINE_BREAKS, LoadReport, MultidimGraph
 
 from conftest import G0_DIMS, G0_EDGES, G0_VERTICES
 
@@ -167,9 +169,16 @@ ANY_LINES = st.one_of(
 def test_loader_matches_reference(tmp_path, lines, newline, trailing):
     """The loader and the reference parser agree on every edge file: the
     same graph, fingerprint and report, or the same LoadError text."""
+    assert_loads_like_reference(tmp_path, newline.join(lines) + (newline if trailing and lines else ""))
+
+
+def assert_loads_like_reference(tmp_path, edge_text):
+    """load_graph_with_report and reference_load agree on an edge file of
+    ``edge_text`` over LOADER_VERTICES: the same graph, fingerprint and
+    report, or the same LoadError text."""
     vfile, efile = tmp_path / "v.csv", tmp_path / "e.csv"
     write_graph(MultidimGraph(("D",), LOADER_VERTICES, frozenset()), vfile, efile)
-    efile.write_bytes((newline.join(lines) + (newline if trailing and lines else "")).encode("utf-8"))
+    efile.write_bytes(edge_text.encode("utf-8"))
     try:
         expected = reference_load(("D",), LOADER_VERTICES, efile)
     except LoadError as exc:
@@ -180,6 +189,69 @@ def test_loader_matches_reference(tmp_path, lines, newline, trailing):
     g, report = load_graph_with_report(vfile, efile)
     assert (g, report) == expected
     assert g.fingerprint() == expected[0].fingerprint()
+
+
+def filler(length, newline="\n"):
+    """Exactly ``length`` characters of edge lines, each ending in
+    ``newline``: edge 0,1 over and over (duplicates after the first) and a
+    last, blank line of spaces."""
+    k, r = divmod(length - len(newline), 3 + len(newline))
+    return ("0,1" + newline) * k + " " * r + newline
+
+
+# Edge text is split into lines one slice at a time, each cut just after the
+# first LF at or beyond _SLICE characters into it. These files are larger
+# than one slice and put what a cut could break at and around the first cut.
+@pytest.mark.parametrize("offset", range(-2, 3))
+def test_crlf_at_a_slice_cut(tmp_path, offset):
+    """A CRLF line break whose CR lies near the first cut (at the cut's
+    nominal place for offset 0), in a file of CRLF lines."""
+    head = filler(_SLICE - 4 + offset, "\r\n")
+    assert_loads_like_reference(tmp_path, head + "0,2\r\n" + "2,3\r\n" * (_SLICE // 5) + "3,7\r\n")
+
+
+@pytest.mark.parametrize("offset", range(-2, 3))
+def test_refused_line_after_the_first_slice(tmp_path, offset):
+    """The LoadError of a line in a later slice names the file's line number."""
+    for bad in ("1,x", "1,2,3", "1,99"):
+        assert_loads_like_reference(tmp_path, filler(_SLICE + offset) + "1,2\n" + bad + "\n1,3\n")
+        assert_loads_like_reference(tmp_path, filler(2 * _SLICE + offset) + bad)
+
+
+@pytest.mark.parametrize("offset", range(-2, 3))
+def test_blank_line_at_a_slice_cut(tmp_path, offset):
+    """A blank line just before or after the first cut counts towards the line
+    numbers of the lines after it."""
+    text = filler(_SLICE + offset) + "\n\n" + "1,2\n" * 10 + "2,1\n1,1\n"
+    assert_loads_like_reference(tmp_path, text)
+    assert_loads_like_reference(tmp_path, text + "\n1,x\n")
+
+
+def test_carriage_return_only_file(tmp_path):
+    """A file larger than a slice with only CR line breaks, so no LF to cut
+    at, is read as one slice."""
+    text = filler(2 * _SLICE, "\r") + "1,2\r3,7\r"
+    assert "\n" not in text
+    assert_loads_like_reference(tmp_path, text)
+    assert_loads_like_reference(tmp_path, text + "7,12\r7,x\r")
+
+
+def test_constructor_matches_loader(tmp_path):
+    """MultidimGraph(dims, vertices, edges) builds the same rows as the loader
+    on the benchmark's seed-5 inputs, backward rows and fingerprint included."""
+    gen = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    # gen.py's arguments for each workload of perfbench/workloads.py.
+    sizes = {"full-cube": (2000, 8000, 6, 10, 0.0, 1.0), "pruned-cube": (3000, 45000, 6, 10, 0.02, 2.0),
+             "query-zipf": (600, 2400, 7, 6, 0.0, 1.0)}
+    for name, size in sizes.items():
+        out = tmp_path / name
+        subprocess.run([sys.executable, str(gen), str(out), *map(str, size), "5"], check=True,
+                       env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        g = load_graph(out / "vertices.csv", out / "edges.csv")
+        built = MultidimGraph(g.dims, g.vertices, list(g.edges))
+        assert built == g
+        assert built._bwd == g._bwd
+        assert built.fingerprint() == g.fingerprint()
 
 
 def test_line_breaks_are_those_of_splitlines():
@@ -193,7 +265,9 @@ def test_load_memory(tmp_path):
     """Bytes traced while loading a 3,000-vertex, 45,000-edge graph: retained
     13.4 MB and peak 25.6 MB with an edge frozenset, per-vertex neighbor
     frozensets and a set of id pairs while parsing; 2.7 MB and 8.8 MB with
-    one adjacency over positions and a set of position codes."""
+    one adjacency over positions and a set of position codes; 2.0 MB and
+    3.2 MB with per-position lists of higher neighbors, parsed a slice of
+    lines at a time and sorted once."""
     g = generate_synthetic(GenParams(vertex_count=3000, edge_count=45000, dim_count=6, cardinality=10, seed=3))
     write_graph(g, tmp_path / "v.csv", tmp_path / "e.csv")
     del g
@@ -204,8 +278,8 @@ def test_load_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(g.edges) == 45000
-    assert retained < 6_000_000
-    assert peak < 14_000_000
+    assert retained < 2_600_000
+    assert peak < 3_600_000
 
 
 class TestEdgeView:

@@ -12,6 +12,7 @@ from graphcube import (
     oracle_cube,
     oracle_cuboid,
 )
+from graphcube.oracle import _adjacency, _rational_vertex_score, rational_vertex_score
 
 
 class TestOracleCuboid:
@@ -168,3 +169,15 @@ def test_relabeling_invariance():
         }
         assert net_a.self_edges == net_b.self_edges
         assert net_a.cross_edges == net_b.cross_edges
+
+
+def test_vertex_score_reads_the_closed_neighborhood(g0):
+    """rational_vertex_score, which reads v's closed neighborhood only, equals
+    the score on the whole graph's adjacency."""
+    g = generate_synthetic(
+        GenParams(vertex_count=60, edge_count=240, dim_count=3, cardinality=3, seed=4, hub_fraction=0.1)
+    )
+    for graph in (g0, g):
+        adj = _adjacency(graph)
+        for v in graph.vertices:
+            assert rational_vertex_score(graph, v) == _rational_vertex_score(graph, adj, v)
