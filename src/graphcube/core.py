@@ -8,7 +8,6 @@ are immutable after construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
@@ -20,6 +19,17 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import LoadError, ParameterError, UnknownVertexError
+
+# CPython's built-in SHA-256 (see MultidimGraph.fingerprint); hashlib only for
+# an interpreter built without it, a FIPS-patched one for example. All three
+# give the same digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "MultidimGraph",
@@ -258,11 +268,14 @@ class MultidimGraph:
 
         JSON quotes and escapes every string, so no name or value can pass for
         a separator, and distinct graphs serialize differently. The document is
-        ASCII: other characters, lone surrogates included, are escaped.
+        ASCII: other characters, lone surrogates included, are escaped. The
+        digest comes from CPython's built-in SHA-256 module, not hashlib, so a
+        build does not map OpenSSL (3.6 MB resident) for one digest; hashlib
+        is the fallback on an interpreter without that module.
         """
         vertices = self.vertices
         doc = [self.dims, [(vid, *vertices[vid]) for vid in self._ids], self._fwd]
-        return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("ascii")).hexdigest()
+        return sha256(json.dumps(doc, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
 @dataclass
@@ -393,24 +406,26 @@ def load_graph_with_report(vertex_file: str | Path, edge_file: str | Path) -> tu
     n = len(dims)
 
     vertices: dict[int, tuple[str, ...]] = {}
+    # One str object per distinct attribute value: a graph keeps |V| * |dims|
+    # values but few distinct ones, and equal values then compare by identity.
+    same: dict[str, str] = {}
     for line in vlines[1:]:
         if not line.strip():
             continue
-        parts = line.split(",")
-        label = parts[0]
+        label, *fields = line.split(",")
         try:
             vid = int(label)
         except ValueError:
             raise LoadError(f"vertex file {vertex_file}: row {label}: vertex id is not an integer") from None
         if vid < 0:
             raise LoadError(f"vertex file {vertex_file}: row {label}: vertex id must be non-negative")
-        if len(parts) - 1 != n:
-            raise LoadError(f"vertex file {vertex_file}: row {label}: expected {n} attributes, got {len(parts) - 1}")
+        if len(fields) != n:
+            raise LoadError(f"vertex file {vertex_file}: row {label}: expected {n} attributes, got {len(fields)}")
         if vid in vertices:
             raise LoadError(f"vertex file {vertex_file}: row {label}: duplicate vertex id")
-        if any(not p for p in parts[1:]):
+        if "" in fields:
             raise LoadError(f"vertex file {vertex_file}: row {label}: empty attribute value")
-        vertices[vid] = tuple(parts[1:])
+        vertices[vid] = tuple(map(same.setdefault, fields, fields))
 
     del vlines
     pos = _positions(vertices)

@@ -39,6 +39,17 @@ def test_worse_than_the_bound_in_each_direction():
     assert "WORSE by more than 25%" in lines[1]
 
 
+def test_relative_change_column():
+    """The column after the change median is the change median against the
+    base median, signed whichever direction is better, to one decimal."""
+    # medians: build_s 1.0 -> 1.23456 (+23.456%), queries_per_s 100 -> 74 (-26%)
+    lines, _ = ab.summarize(METRICS, runs([1.0] * 3, [1.23456] * 3, [100] * 3, [74] * 3))
+    assert [line.split()[9] for line in lines[1:]] == ["+23.5%", "-26.0%"]
+    assert ab.relative_change(2.0, 1.9999) == "-0.0%"  # a fall too small to show keeps its sign
+    assert ab.relative_change(2.0, 2.0) == "+0.0%"
+    assert ab.relative_change(0.0, 1.0) == "n/a"
+
+
 def test_better_is_never_worse():
     lines, breached = ab.summarize(METRICS, runs([1.0] * 2, [0.1] * 2, [100] * 2, [1000] * 2))
     assert breached == []

@@ -1,6 +1,10 @@
+import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -20,9 +24,12 @@ from graphcube import (
     load_graph_with_report,
     write_graph,
 )
+from graphcube import core
 from graphcube.core import _SLICE, HUB_VALUE, LINE_BREAKS, LoadReport, MultidimGraph
 
 from conftest import G0_DIMS, G0_EDGES, G0_VERTICES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestLoadGraph:
@@ -236,22 +243,39 @@ def test_carriage_return_only_file(tmp_path):
     assert_loads_like_reference(tmp_path, text + "7,12\r7,x\r")
 
 
-def test_constructor_matches_loader(tmp_path):
-    """MultidimGraph(dims, vertices, edges) builds the same rows as the loader
-    on the benchmark's seed-5 inputs, backward rows and fingerprint included."""
-    gen = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+@pytest.fixture(scope="module")
+def seed5_inputs(tmp_path_factory):
+    """The benchmark's seed-5 input files, per workload: (vertex file, edge file)."""
+    out = tmp_path_factory.mktemp("seed5")
     # gen.py's arguments for each workload of perfbench/workloads.py.
     sizes = {"full-cube": (2000, 8000, 6, 10, 0.0, 1.0), "pruned-cube": (3000, 45000, 6, 10, 0.02, 2.0),
              "query-zipf": (600, 2400, 7, 6, 0.0, 1.0)}
+    inputs = {}
     for name, size in sizes.items():
-        out = tmp_path / name
-        subprocess.run([sys.executable, str(gen), str(out), *map(str, size), "5"], check=True,
-                       env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-        g = load_graph(out / "vertices.csv", out / "edges.csv")
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), str(out / name), *map(str, size), "5"],
+                       check=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        inputs[name] = (out / name / "vertices.csv", out / name / "edges.csv")
+    return inputs
+
+
+def test_constructor_matches_loader(seed5_inputs):
+    """MultidimGraph(dims, vertices, edges) builds the same rows as the loader
+    on the benchmark's seed-5 inputs, backward rows and fingerprint included."""
+    for files in seed5_inputs.values():
+        g = load_graph(*files)
         built = MultidimGraph(g.dims, g.vertices, list(g.edges))
         assert built == g
         assert built._bwd == g._bwd
         assert built.fingerprint() == g.fingerprint()
+
+
+def test_loader_keeps_one_string_per_value(seed5_inputs):
+    """The loaded graph holds one str object per distinct attribute value,
+    not one per vertex and dimension."""
+    g = load_graph(*seed5_inputs["pruned-cube"])
+    values = [a for attrs in g.vertices.values() for a in attrs]
+    assert len(values) == 3000 * 6
+    assert len(set(map(id, values))) == len(set(values))
 
 
 def test_line_breaks_are_those_of_splitlines():
@@ -267,7 +291,11 @@ def test_load_memory(tmp_path):
     frozensets and a set of id pairs while parsing; 2.7 MB and 8.8 MB with
     one adjacency over positions and a set of position codes; 2.0 MB and
     3.2 MB with per-position lists of higher neighbors, parsed a slice of
-    lines at a time and sorted once."""
+    lines at a time and sorted once; 1.3 MB and 2.4 MB with one str object
+    per distinct attribute value. Retained bytes depend on what came before:
+    a tuple taken from CPython's free lists is not traced, and with those
+    lists drained the load retains 1.75 MB (2.66 MB before values were
+    shared)."""
     g = generate_synthetic(GenParams(vertex_count=3000, edge_count=45000, dim_count=6, cardinality=10, seed=3))
     write_graph(g, tmp_path / "v.csv", tmp_path / "e.csv")
     del g
@@ -278,8 +306,8 @@ def test_load_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(g.edges) == 45000
-    assert retained < 2_600_000
-    assert peak < 3_600_000
+    assert retained < 1_900_000
+    assert peak < 2_600_000
 
 
 class TestEdgeView:
@@ -311,11 +339,31 @@ class TestEdgeView:
         assert MultidimGraph(G0_DIMS, dict(G0_VERTICES), G0_EDGES - {(5, 6)}) != g0
 
 
+# g0's fingerprint, pinned so that a change of digest or document fails even
+# where the reference below would change with it.
+G0_FINGERPRINT = "898c31a9a9c1ce6a28f403f89cde8bb896484c5247860971001a3e9efa0a27a1"
+# Joined with commas, both graphs would read "a,b" / "1,x,y".
+SEPARATOR_GRAPHS = (
+    MultidimGraph(dims=("a,b",), vertices={1: ("x,y",)}, edges=frozenset()),
+    MultidimGraph(dims=("a", "b"), vertices={1: ("x", "y")}, edges=frozenset()),
+)
+
+
+def reference_fingerprint(g: MultidimGraph) -> str:
+    """hashlib's SHA-256 of the document fingerprint() describes, built from
+    the public graph: dims, [id, *values] per vertex by ascending id, and per
+    vertex in that order the ascending positions of its higher-id
+    neighbors."""
+    ids = sorted(g.vertices)
+    pos = {v: i for i, v in enumerate(ids)}
+    forward = [sorted(pos[w] for w in g.neighbors(v) if w > v) for v in ids]
+    doc = [list(g.dims), [[v, *g.vertices[v]] for v in ids], forward]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("ascii")).hexdigest()
+
+
 class TestFingerprint:
     def test_separators_inside_names_and_values(self):
-        # Joined with commas, both graphs would read "a,b" / "1,x,y".
-        one = MultidimGraph(dims=("a,b",), vertices={1: ("x,y",)}, edges=frozenset())
-        two = MultidimGraph(dims=("a", "b"), vertices={1: ("x", "y")}, edges=frozenset())
+        one, two = SEPARATOR_GRAPHS
         assert one.fingerprint() != two.fingerprint()
 
     def test_edges_and_ids_count(self, g0):
@@ -326,6 +374,62 @@ class TestFingerprint:
         )
         prints = {g.fingerprint() for g in (g0, other_edge, shifted)}
         assert len(prints) == 3
+
+    def test_digest_of_the_documented_json(self, g0):
+        synthetic = generate_synthetic(GenParams(vertex_count=300, edge_count=1200, dim_count=3, cardinality=4,
+                                                 seed=7, hub_fraction=0.05))
+        for g in (g0, *SEPARATOR_GRAPHS, synthetic):
+            assert g.fingerprint() == reference_fingerprint(g)
+        assert g0.fingerprint() == G0_FINGERPRINT
+
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
+        """Without CPython's built-in SHA-256 modules, core takes hashlib's
+        sha256, and the digest does not change. core is executed afresh as a
+        module of its own, so the classes other modules hold stay as they
+        are."""
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        spec = importlib.util.spec_from_file_location("graphcube._core_on_hashlib", core.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fallback)  # dataclasses look their module up there
+        spec.loader.exec_module(fallback)
+        assert fallback.sha256 is hashlib.sha256
+        g = fallback.MultidimGraph(G0_DIMS, dict(G0_VERTICES), G0_EDGES)
+        assert g.fingerprint() == G0_FINGERPRINT
+
+
+# Run in a fresh interpreter: import graphcube, build, write and read a cube,
+# then report whether OpenSSL's hashlib backend was loaded.
+FLOOR_SCRIPT = textwrap.dedent("""
+    import importlib.util
+    import sys
+    import tempfile
+
+    if "_hashlib" in sys.modules:
+        sys.exit("skip: _hashlib is loaded at start-up")
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        sys.exit("skip: no built-in SHA-256 module")
+    import graphcube as gc
+
+    g = gc.generate_synthetic(gc.GenParams(200, 800, 3, 4, seed=1, hub_fraction=0.05))
+    idx = gc.build_inverted_index(g)
+    cube = gc.compute_cube(g, idx, gc.significance_table(g, idx))
+    with tempfile.TemporaryDirectory() as out:
+        gc.write_cube(cube, out)
+        gc.read_cuboid(out, (0,))
+    print("_hashlib" in sys.modules)
+""")
+
+
+def test_a_build_leaves_openssl_unloaded():
+    """A build, a write and a read through graphcube load no _hashlib, so the
+    process does not map OpenSSL."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", FLOOR_SCRIPT], env=env, capture_output=True, text=True)
+    if proc.stderr.startswith("skip: "):
+        pytest.skip(proc.stderr.strip()[len("skip: "):])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def reference_triangles(g: MultidimGraph, v: int) -> int:

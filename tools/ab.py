@@ -10,7 +10,9 @@ one pair to the next; pair i uses seed ``--seed + i``. The metric names and
 which direction is better come from CHANGE's BENCHMARK.json.
 
 Each run's metrics are printed as it finishes. At the end, for each workload
-and metric, the table gives each side's median and quartiles, the number of
+and metric, the table gives each side's median and quartiles, CHANGE's median
+against BASE's as a signed percentage (``-12.3%`` is 12.3% below BASE's
+median, whichever direction is better; one decimal), the number of
 pairs CHANGE won (ties count for neither side) and a verdict: WORSE when
 CHANGE's median is worse than BASE's by more than the metric's ``bound`` in
 CHANGE's BENCHMARK.json, as a fraction of BASE's median. A row is marked GAIN
@@ -57,11 +59,17 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def relative_change(base: float, change: float) -> str:
+    """CHANGE's median against BASE's, signed, in percent to one decimal;
+    ``n/a`` when BASE's median is 0."""
+    return f"{(change - base) / base:+.1%}" if base else "n/a"
+
+
 def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) -> tuple[list[str], list[str]]:
     """The table for one workload, and the names of the metrics whose change
     median is worse than the base median by more than the metric's bound."""
-    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'gain':>4} "
-             f"{'change wins':>12}  verdict"]
+    lines = [f"{'metric':<16} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'vs base':>8} "
+             f"{'gain':>4} {'change wins':>12}  verdict"]
     breached = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -80,8 +88,8 @@ def summarize(metrics: list[dict], runs: list[tuple[dict | None, dict | None]]) 
             breached.append(name)
         gain = 10 * wins >= 9 * len(runs) and (base - change if lower else change - base) > base_q3 - base_q1
         verdict = f"WORSE by more than {m['bound']:.0%}" if worse else "within bound"
-        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {'GAIN' if gain else '':>4} "
-                     f"{wins:>7} of {len(pairs)}  {verdict}")
+        lines.append(f"{name:<16} {cols[0]:>30} {cols[1]:>30} {relative_change(base, change):>8} "
+                     f"{'GAIN' if gain else '':>4} {wins:>7} of {len(pairs)}  {verdict}")
     return lines, breached
 
 
